@@ -236,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     fc.add_argument("--iota", type=float, default=0.05, help="CI significance level")
     fc.add_argument("--window", type=int, default=1000, help="estimation window n")
     fc.add_argument("--clip", type=int, default=10, help="residuals clipped per window")
-    fc.add_argument("--threads", type=int, default=None, help="unused; accepted for symmetry")
     fc.set_defaults(func=cmd_forecast)
 
     ts = sub.add_parser("test", help="print the equality test for a stored record")

@@ -138,12 +138,50 @@ def _neg_quasi_loglik(y: np.ndarray, y_sq: np.ndarray, omega: float, alpha: floa
     return 0.5 * float(np.sum(np.log(sigma2) + y_sq / sigma2))
 
 
+_STARTS = ((0.10, 0.85), (0.20, 0.70), (0.05, 0.50))
+# box of the fit coordinates (see _neg_quasi_loglik_and_score); the log-omega
+# range never binds at an optimum and keeps the objective finite on all of it
+_FIT_BOUNDS = ((-50.0, 50.0), (0.0, -np.log1p(-_STATIONARITY_CAP)), (0.0, 1.0))
+
+
+def _neg_quasi_loglik_and_score(u: np.ndarray, z_sq: np.ndarray):
+    """Negative quasi-log-likelihood of standardized data (sigma_0^2 = 1) and its
+    exact gradient in the box coordinates
+    u = (log omega, -log(1 - alpha - beta), alpha / (alpha + beta)).
+
+    The derivative paths d sigma2_t / d(omega, alpha, beta) obey the variance
+    recursion's own filter: (1, z2_{t-1}, sigma2_{t-1}) + beta * d sigma2_{t-1}.
+    """
+    omega, share = np.exp(u[0]), u[2]
+    persistence = -np.expm1(-u[1])
+    alpha, beta = share * persistence, (1.0 - share) * persistence
+    sigma2 = _variance_path(z_sq, omega, alpha, beta, 1.0)
+    ratio = z_sq / sigma2
+    f = 0.5 * float(np.sum(np.log(sigma2) + ratio))
+    drive = np.vstack([np.ones(z_sq.shape[0] - 1), z_sq[:-1], sigma2[:-1]])
+    dsigma2 = signal.lfilter([1.0], [1.0, -beta], drive, axis=1)
+    # d sigma2_0 / d theta = 0: the initial value is fixed
+    d_omega, d_alpha, d_beta = dsigma2 @ (0.5 * (1.0 - ratio[1:]) / sigma2[1:])
+    grad = np.array([omega * d_omega,
+                     (1.0 - persistence) * (share * d_alpha + (1.0 - share) * d_beta),
+                     persistence * (d_alpha - d_beta)])
+    return f, grad
+
+
 def qmle_fit(series, max_iter: int = 500) -> GarchFit:
     """Gaussian quasi-maximum-likelihood fit of a GARCH(1,1) margin.
 
-    Nelder-Mead from several starting points on (log omega, alpha, beta),
-    refined by L-BFGS-B on the same parameterization. The variance recursion
-    is initialized at the sample variance of the window.
+    The data are standardized by the window's sample standard deviation and the
+    variance recursion starts at the sample variance (1 after standardizing),
+    so the fit is scale-equivariant by construction; omega is mapped back by
+    the sample variance. L-BFGS-B minimizes the negative quasi-log-likelihood
+    with its exact score over the box coordinates (log omega,
+    -log(1 - alpha - beta) up to the stationarity cap, alpha / (alpha + beta)
+    in [0, 1]); the bounds keep every iterate nonnegative and stationary, and
+    the log persistence keeps the ridge towards the cap well scaled. The fit
+    runs from three starting points and keeps the best, because on white noise
+    the likelihood has separate basins along alpha = 0. `iterations` sums the
+    optimizer iterations over the starts.
     """
     y = np.asarray(series, dtype=float)
     if y.ndim != 1:
@@ -156,71 +194,43 @@ def qmle_fit(series, max_iter: int = 500) -> GarchFit:
     if sample_var <= 0:
         raise ValueError("series is constant; GARCH fit is degenerate")
 
-    y_sq = y**2
-    sigma0_sq = sample_var
-    n = y.shape[0]
-
-    def objective(x):
-        omega = np.exp(x[0])
-        alpha, beta = x[1], x[2]
-        excess = alpha + beta - _STATIONARITY_CAP
-        if alpha < 0 or beta < 0 or excess > 0:
-            # smooth exterior penalty keeps numerical gradients usable
-            a = max(alpha, 0.0)
-            b = max(beta, 0.0)
-            shrink = 1.0 if a + b <= _STATIONARITY_CAP else _STATIONARITY_CAP / (a + b)
-            base = _neg_quasi_loglik(y, y_sq, omega, a * shrink, b * shrink, sigma0_sq)
-            pen = (min(alpha, 0.0) ** 2 + min(beta, 0.0) ** 2 + max(excess, 0.0) ** 2)
-            return base + 1e6 * n * pen
-        return _neg_quasi_loglik(y, y_sq, omega, alpha, beta, sigma0_sq)
-
-    starts = [(0.10, 0.85), (0.20, 0.70), (0.05, 0.50)]
+    z_sq = y**2 / sample_var
     best = None
     total_iter = 0
-    for a0, b0 in starts:
-        omega0 = sample_var * (1.0 - a0 - b0)
-        x0 = np.array([np.log(omega0), a0, b0])
-        # additive initial simplex: trajectories are exactly equivariant under
-        # rescaling of the data (a pure shift in the log-omega coordinate)
-        simplex = np.vstack([x0] + [x0 + 0.25 * np.eye(3)[i] * np.array([1.0, 0.2, 0.2])[i]
-                                    for i in range(3)])
-        res = optimize.minimize(objective, x0, method="Nelder-Mead",
-                                options={"initial_simplex": simplex, "xatol": 1e-8,
-                                         "fatol": 1e-10, "maxiter": max_iter,
-                                         "maxfev": 2 * max_iter})
+    for a0, b0 in _STARTS:
+        u0 = np.array([np.log(1.0 - a0 - b0), -np.log(1.0 - a0 - b0), a0 / (a0 + b0)])
+        # the default ftol stops early on the flat ridges along alpha = 0 and
+        # towards the cap; the exact score makes the tighter one cheap
+        res = optimize.minimize(_neg_quasi_loglik_and_score, u0, args=(z_sq,), jac=True,
+                                method="L-BFGS-B", bounds=_FIT_BOUNDS,
+                                options={"maxiter": max_iter, "ftol": 1e-12})
         total_iter += res.nit
         if best is None or res.fun < best.fun:
             best = res
 
-    polish = optimize.minimize(objective, best.x, method="L-BFGS-B",
-                               bounds=[(None, None), (0.0, _STATIONARITY_CAP),
-                                       (0.0, _STATIONARITY_CAP)],
-                               options={"maxiter": 200})
-    total_iter += polish.nit
-    if polish.fun <= best.fun and np.isfinite(polish.fun):
-        best_x, best_fun, opt_ok = polish.x, polish.fun, bool(polish.success or best.success)
-    else:
-        best_x, best_fun, opt_ok = best.x, best.fun, bool(best.success)
-
-    omega = float(np.exp(best_x[0]))
-    alpha = float(max(best_x[1], 0.0))
-    beta = float(max(best_x[2], 0.0))
+    omega = sample_var * float(np.exp(best.x[0]))
+    persistence, share = float(-np.expm1(-best.x[1])), float(best.x[2])
+    alpha = share * persistence
+    beta = (1.0 - share) * persistence
     at_cap = alpha + beta >= _STATIONARITY_CAP - 1e-9
     if alpha + beta > _STATIONARITY_CAP:
+        # rounding in the box-to-(alpha, beta) map can leave the sum one ulp high
         shrink = _STATIONARITY_CAP / (alpha + beta)
         alpha *= shrink
         beta *= shrink
     params = GarchParams(omega=omega, alpha=alpha, beta=beta)
 
-    sigma2 = _variance_path(y_sq, omega, alpha, beta, sigma0_sq)
+    y_sq = y**2
+    sigma2 = _variance_path(y_sq, omega, alpha, beta, sample_var)
     vol_forecast_sq = omega + alpha * y_sq[-1] + beta * sigma2[-1]
-    loglik = -0.5 * n * np.log(2.0 * np.pi) - best_fun
+    n = y.shape[0]
+    loglik = -0.5 * n * np.log(2.0 * np.pi) - 0.5 * float(np.sum(np.log(sigma2) + y_sq / sigma2))
     return GarchFit(
         params=params,
         vol_path=np.sqrt(sigma2),
         vol_forecast=float(np.sqrt(vol_forecast_sq)),
         loglik=float(loglik),
-        converged=opt_ok and not at_cap and np.isfinite(best_fun),
+        converged=bool(best.success) and not at_cap,
         iterations=total_iter,
     )
 

@@ -581,11 +581,15 @@ def run_study(config: SimConfig, threads: int = 1, progress=None) -> SimResult:
 
     all_records.sort(key=lambda r: (r.rep_index, r.p))
     rows = [_aggregate(all_records, p, config) for p in ps]
+    failed = [r for r in all_records if r.failed]
     diagnostics = {
         "replications": config.replications,
         "qmle_nonconverged": sum(1 for r in all_records
                                  if not r.failed and not r.qmle_converged) // len(ps),
-        "failed": sum(1 for r in all_records if r.failed) // len(ps),
+        "failed": len(failed) // len(ps),
+        # replications failed per stage, by the prefix of RepRecord.fail_reason
+        "fail_reasons": {stage: sum(1 for r in failed if r.fail_reason.startswith(stage + ":"))
+                         // len(ps) for stage in ("qmle", "evt")},
         "true_theta": {p: asdict(thetas[p]) for p in ps},
     }
     return SimResult(rows=rows, config=config, diagnostics=diagnostics)

@@ -126,6 +126,11 @@ class TestForecastCommand:
         assert main(["forecast", str(bad), "--out", str(tmp_path / "o.csv"),
                      "--window", "15", "--clip", "2", "--p", "0.1"]) == 2
 
+    def test_threads_flag_rejected(self, tmp_path, panel_csv):
+        assert main(["forecast", str(panel_csv), "--out", str(tmp_path / "o.csv"),
+                     "--window", "300", "--clip", "10", "--p", "0.01", "--threads", "2"]) == 2
+        assert not (tmp_path / "o.csv").exists()
+
     def test_p_too_large_exit_2(self, tmp_path, panel_csv):
         assert main(["forecast", str(panel_csv), "--out", str(tmp_path / "o.csv"),
                      "--window", "300", "--clip", "10", "--p", "0.4"]) == 2

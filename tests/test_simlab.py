@@ -174,6 +174,26 @@ class TestRunStudy:
         assert row.rmse == pytest.approx(abs(row.bias), rel=1e-12)
         assert row.coverage in (0.0, 100.0)
 
+    def test_failure_reasons_counted(self, monkeypatch):
+        import tailmes.simlab as simlab
+
+        fit = simlab.qmle_fit
+        calls = []
+
+        def failing_second_replication(series):
+            calls.append(1)
+            if len(calls) == 3:  # first margin of replication 1
+                raise ValueError("injected")
+            return fit(series)
+
+        monkeypatch.setattr(simlab, "qmle_fit", failing_second_replication)
+        cfg = SimConfig(replications=3, p_grid=(0.01, 0.001), oracle_draws=1_000_000,
+                        base_seed=23)
+        res = run_study(cfg)
+        assert res.diagnostics["failed"] == 1
+        assert res.diagnostics["fail_reasons"] == {"qmle": 1, "evt": 0}
+        assert all(row.n_failed == 1 and row.n_used == 2 for row in res.rows)
+
     def test_small_study_metrics(self, tmp_path):
         cfg = SimConfig(replications=4, p_grid=(0.01, 0.001), oracle_draws=1_000_000,
                         base_seed=22)
