@@ -139,11 +139,12 @@ def _window_forecast(x_window: np.ndarray, y_window: np.ndarray, weights_now: np
             gammas.append(gamma)
             if fc.degenerate:
                 flags.append(f"degenerate:{series_ids[j]}")
-        if not all(f.converged for f in fits):
+        nonconverged = [sid for sid, f in zip(("index",) + tuple(series_ids), fits)
+                        if not f.converged]
+        if nonconverged:
             flags.append("qmle-nonconverged")
-            diagnostics["qmle_nonconverged"] = [
-                sid for sid, f in zip(("index",) + tuple(series_ids), fits)
-                if not f.converged]
+            flags += [f"qmle-nonconverged:{sid}" for sid in nonconverged]
+            diagnostics["qmle_nonconverged"] = nonconverged
     except Exception as exc:  # noqa: BLE001 - a bad window is data, not a crash
         return ForecastRecord(date=date, series_ids=tuple(series_ids),
                               weights=tuple(weights_now), failed=True,
@@ -301,7 +302,8 @@ def ingest_csv(path, schema=None) -> LossPanel:
 
 
 def write_forecast_csv(records, path) -> None:
-    """One row per record: date, per-series theta/lo/hi/gamma/weight, Wald columns."""
+    """One row per record: date, per-series theta/lo/hi/gamma/weight, Wald columns
+    and the flags (a non-converged fit as `qmle-nonconverged:<id>`)."""
     if not records:
         raise ValueError("no records to write")
     ids = records[0].series_ids
@@ -355,6 +357,9 @@ def read_forecast_csv(path) -> list:
                 wald = WaldResult(statistic=float(vals["wald_stat"]),
                                   dof=int(vals["wald_df"]),
                                   p_value=float(vals["wald_p"]), contrast_ok=True)
+            flags = tuple(f for f in vals["flags"].split(";") if f)
+            nonconverged = [f[len("qmle-nonconverged:"):] for f in flags
+                            if f.startswith("qmle-nonconverged:")]
             records.append(ForecastRecord(
                 date=vals["date"], series_ids=ids,
                 theta_hat=() if failed else tuple(float(vals[f"theta_{sid}"]) for sid in ids),
@@ -364,7 +369,8 @@ def read_forecast_csv(path) -> list:
                 weights=tuple(float(vals[f"weight_{sid}"]) for sid in ids)
                 if all(vals[f"weight_{sid}"] != "" for sid in ids) else (),
                 wald=wald,
-                flags=tuple(f for f in vals["flags"].split(";") if f),
+                flags=flags,
                 failed=failed,
+                diagnostics={"qmle_nonconverged": nonconverged} if nonconverged else {},
             ))
     return records

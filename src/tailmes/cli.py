@@ -96,7 +96,6 @@ def load_sim_config(path, seed_override=None) -> SimConfig:
             garch_y=garch("garch_y", base.garch_y),
             iota=_get(parser, s, "iota", float, base.iota),
             burn_in=_get(parser, s, "burn_in", int, base.burn_in),
-            oracle_draws=_get(parser, s, "oracle_draws", int, base.oracle_draws),
             ml_draws=_get(parser, s, "ml_draws", int, base.ml_draws),
         )
     except ConfigError:
@@ -115,7 +114,7 @@ def _config_snapshot(config: SimConfig) -> dict:
         "garch_x": dataclasses.asdict(config.garch_x),
         "garch_y": dataclasses.asdict(config.garch_y),
         "iota": config.iota, "burn_in": config.burn_in,
-        "oracle_draws": config.oracle_draws, "ml_draws": config.ml_draws,
+        "ml_draws": config.ml_draws,
     }
 
 

@@ -18,6 +18,7 @@ __all__ = [
     "InnovationSpec",
     "burr_cdf",
     "burr_quantile",
+    "burr_isf",
     "burr_moment",
     "symmetrized_quantile",
     "sample_innovations",
@@ -134,6 +135,19 @@ def burr_quantile(u, params: BurrParams):
         raise ValueError("quantile level must lie strictly inside (0, 1)")
     # expm1 form keeps precision for u near 0
     x = np.power(np.expm1(-np.log1p(-u) / params.a), 1.0 / params.b)
+    return x if x.ndim else float(x)
+
+
+def burr_isf(q, params: BurrParams):
+    """Burr quantile at upper-tail probability q: the x with 1 - F(x) = q.
+
+    Works from q itself rather than from u = 1 - q, so it keeps full relative
+    precision however deep in the tail q lies; q = 1 gives 0.
+    """
+    q = np.asarray(q, dtype=float)
+    if np.any(q <= 0.0) or np.any(q > 1.0):
+        raise ValueError("tail probability must lie in (0, 1]")
+    x = np.power(np.expm1(-np.log(q) / params.a), 1.0 / params.b)
     return x if x.ndim else float(x)
 
 

@@ -260,7 +260,7 @@ class TestPipelineProperties:
 
         cfg = tmp_path / "study.ini"
         cfg.write_text("[study]\nn = 300\nreplications = 2\n"
-                       "p_grid = 0.01\noracle_draws = 1000000\nbase_seed = 17\n")
+                       "p_grid = 0.01\nbase_seed = 17\n")
         out = tmp_path / "a.csv"
         assert cli_main(["simulate", "--config", str(cfg), "--out", str(out),
                          "--threads", "1"]) == 0

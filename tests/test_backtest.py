@@ -198,6 +198,31 @@ class TestIngestCsv:
 
 
 class TestForecastCsvRoundTrip:
+    def test_nonconverged_ids_round_trip(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        import tailmes.backtest as backtest
+
+        fit, calls = backtest.qmle_fit, []
+
+        def last_margin_unconverged(series):
+            # every window fits the index, s0 and s1, in that order
+            calls.append(1)
+            return dataclasses.replace(fit(series), converged=len(calls) % 3 != 0)
+
+        monkeypatch.setattr(backtest, "qmle_fit", last_margin_unconverged)
+        records = rolling_forecast(_synthetic_panel(312, n_series=2, seed=5),
+                                   n=300, ell_n=10, p=0.01)
+        assert len(records) == 2
+        for rec in records:
+            assert rec.diagnostics == {"qmle_nonconverged": ["s1"]}
+            assert {"qmle-nonconverged", "qmle-nonconverged:s1"} <= set(rec.flags)
+        path = tmp_path / "fc.csv"
+        write_forecast_csv(records, path)
+        back = read_forecast_csv(path)
+        assert [r.flags for r in back] == [r.flags for r in records]
+        assert [r.diagnostics for r in back] == [r.diagnostics for r in records]
+
     def test_round_trip(self, tmp_path):
         panel = _synthetic_panel(315, n_series=2, seed=5)
         records = rolling_forecast(panel, n=300, ell_n=10, p=0.01)

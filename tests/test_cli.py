@@ -34,7 +34,6 @@ def _sim_config(tmp_path, extra=""):
         "n = 300\n"
         "replications = 2\n"
         "p_grid = 0.01 0.001\n"
-        "oracle_draws = 1000000\n"
         "base_seed = 5\n" + extra)
     return cfg
 

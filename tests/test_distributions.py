@@ -7,6 +7,7 @@ from tailmes.distributions import (
     InnovationSpec,
     TCopulaParams,
     burr_cdf,
+    burr_isf,
     burr_moment,
     burr_quantile,
     sample_innovations,
@@ -21,6 +22,24 @@ from tailmes.evt import hill
 
 BURR_MAIN = BurrParams(a=0.25, b=20.0)
 BURR_ALT = BurrParams(a=0.2, b=25.0)
+
+
+class TestBurrIsf:
+    def test_inverts_the_tail_deep_down(self):
+        # 1 - F(x) = (1 + x^b)^(-a), evaluated without forming 1 - q
+        q = np.array([1.0, 0.5, 1e-3, 1e-12, 1e-40])
+        x = burr_isf(q, BURR_MAIN)
+        assert (1.0 + x**BURR_MAIN.b) ** (-BURR_MAIN.a) == pytest.approx(q, rel=1e-12)
+
+    def test_matches_quantile_in_the_body(self):
+        u = np.linspace(0.05, 0.95, 7)
+        assert burr_isf(1.0 - u, BURR_ALT) == pytest.approx(burr_quantile(u, BURR_ALT),
+                                                             rel=1e-12)
+
+    @pytest.mark.parametrize("q", [0.0, -0.1, 1.5])
+    def test_rejects_out_of_range(self, q):
+        with pytest.raises(ValueError):
+            burr_isf(q, BURR_MAIN)
 
 
 class TestBurrParams:

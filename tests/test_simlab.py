@@ -7,10 +7,12 @@ from tailmes.distributions import (
     InnovationSpec,
     TCopulaParams,
     sample_innovations,
+    symmetrized_quantile,
 )
 from tailmes.garch import GarchParams
 from tailmes.simlab import (
     SimConfig,
+    _conditional_tail_draws,
     _tail_t_quantiles,
     fit_burr_ml,
     fit_tcopula_ml,
@@ -88,6 +90,43 @@ class TestTrueThetaOracle:
         assert gaps[0] > gaps[1] > gaps[2]
 
 
+class TestThetaQuadrature:
+    @pytest.mark.parametrize("p", [1e-2, 1e-3, 1e-4, 1e-5, 1e-7])
+    def test_node_doubling(self, p):
+        coarse = theta_quadrature(3.0, 0.95, BURR, p, nodes=50)
+        fine = theta_quadrature(3.0, 0.95, BURR, p, nodes=100)
+        assert abs(fine / coarse - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("p, seed", [(1e-2, 71), (1e-3, 72), (1e-4, 73), (1e-5, 74)])
+    def test_conditional_oracle_agrees(self, p, seed):
+        o = true_theta_oracle(3.0, 0.95, BURR, p, 2_000_000, seed)
+        assert abs(o.theta_p - theta_quadrature(3.0, 0.95, BURR, p)) < 3 * o.mc_error
+
+    def test_study_truth_is_the_quadrature(self):
+        cfg = SimConfig(replications=1, p_grid=(0.01, 0.001), base_seed=21)
+        truth = run_study(cfg).diagnostics["true_theta"]
+        for p in cfg.p_grid:
+            assert truth[p] == {"theta_p": theta_quadrature(cfg.nu, cfg.rho, cfg.burr, p),
+                                "method": "quadrature", "mc_error": 0.0}
+
+
+class TestConditionalTailDraws:
+    def test_bit_identical_to_inline_formula(self):
+        # the conditional-t step as _conditional_tail_draws stated it inline
+        def reference(nu, rho, burr, p, draws, rng):
+            v = rng.uniform(size=draws)
+            t1 = _tail_t_quantiles(p, np.clip(v, 1e-300, 1.0), nu)
+            scale = np.sqrt((nu + t1 * t1) * (1.0 - rho * rho) / (nu + 1.0))
+            t2 = rho * t1 + scale * rng.standard_t(nu + 1.0, size=draws)
+            u_y = np.clip(stats.t.cdf(t2, nu), 1e-15, 1.0 - 1e-15)
+            return symmetrized_quantile(u_y, burr)
+
+        for nu, rho, p in ((3.0, 0.95, 1e-3), (4.7, 0.3, 0.02)):
+            new = _conditional_tail_draws(nu, rho, BURR, p, 10_000, np.random.default_rng(5))
+            old = reference(nu, rho, BURR, p, 10_000, np.random.default_rng(5))
+            assert np.array_equal(new, old)
+
+
 @pytest.fixture(scope="module")
 def big_sample():
     spec = InnovationSpec.homogeneous(BURR, TCopulaParams.bivariate(3.0, 0.95))
@@ -111,7 +150,7 @@ class TestMlFits:
 
 
 class TestRunReplication:
-    CFG = SimConfig(replications=2, oracle_draws=1_000_000, base_seed=33)
+    CFG = SimConfig(replications=2, base_seed=33)
 
     def test_bit_identical_records(self):
         r1 = run_replication(self.CFG, 0.001, 0)
@@ -130,7 +169,7 @@ class TestRunReplication:
     def test_degenerate_garch_isolates_evt_error(self):
         # alpha = beta = 0: sigma is flat at sqrt(omega), so the volatility
         # forecast carries no estimation noise beyond omega-hat itself
-        cfg = SimConfig(replications=1, oracle_draws=1_000_000, base_seed=9,
+        cfg = SimConfig(replications=1, base_seed=9,
                         garch_x=GarchParams(0.04, 0.0, 0.0),
                         garch_y=GarchParams(0.09, 0.0, 0.0))
         r = run_replication(cfg, 0.001, 0)
@@ -167,8 +206,7 @@ class TestMlEstimator:
 
 class TestRunStudy:
     def test_single_replication_identities(self):
-        cfg = SimConfig(replications=1, p_grid=(0.001,), oracle_draws=1_000_000,
-                        base_seed=21)
+        cfg = SimConfig(replications=1, p_grid=(0.001,), base_seed=21)
         res = run_study(cfg)
         row = res.row_for(0.001)
         assert row.rmse == pytest.approx(abs(row.bias), rel=1e-12)
@@ -187,16 +225,18 @@ class TestRunStudy:
             return fit(series)
 
         monkeypatch.setattr(simlab, "qmle_fit", failing_second_replication)
-        cfg = SimConfig(replications=3, p_grid=(0.01, 0.001), oracle_draws=1_000_000,
-                        base_seed=23)
+        cfg = SimConfig(replications=3, p_grid=(0.01, 0.001), base_seed=23)
         res = run_study(cfg)
         assert res.diagnostics["failed"] == 1
         assert res.diagnostics["fail_reasons"] == {"qmle": 1, "evt": 0}
         assert all(row.n_failed == 1 and row.n_used == 2 for row in res.rows)
 
+    def test_rows_independent_of_threads(self):
+        cfg = SimConfig(replications=3, p_grid=(0.01, 0.001), base_seed=24)
+        assert run_study(cfg, threads=2).rows == run_study(cfg, threads=1).rows
+
     def test_small_study_metrics(self, tmp_path):
-        cfg = SimConfig(replications=4, p_grid=(0.01, 0.001), oracle_draws=1_000_000,
-                        base_seed=22)
+        cfg = SimConfig(replications=4, p_grid=(0.01, 0.001), base_seed=22)
         res = run_study(cfg)
         assert len(res.rows) == 2
         for row in res.rows:
