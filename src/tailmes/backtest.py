@@ -234,7 +234,7 @@ def _parse_float(text: str, line_no: int, col: str) -> float:
     return val
 
 
-def ingest_csv(path, schema=None) -> LossPanel:
+def ingest_csv(path) -> LossPanel:
     """Read a wide CSV (date, price_<id>..., mcap_<id>...) into a LossPanel.
 
     Prices become log-losses -log(P_t / P_{t-1}); the first price row is
@@ -252,14 +252,10 @@ def ingest_csv(path, schema=None) -> LossPanel:
     header = [h.strip() for h in header]
     if not header or header[0] != "date":
         raise PanelError("first column must be 'date'")
-    if schema is None:
-        price_cols = {h[len("price_"):]: i for i, h in enumerate(header)
-                      if h.startswith("price_")}
-        mcap_cols = {h[len("mcap_"):]: i for i, h in enumerate(header)
-                     if h.startswith("mcap_")}
-    else:
-        price_cols = {sid: header.index(col) for sid, col in schema.get("price", {}).items()}
-        mcap_cols = {sid: header.index(col) for sid, col in schema.get("mcap", {}).items()}
+    price_cols = {h[len("price_"):]: i for i, h in enumerate(header)
+                  if h.startswith("price_")}
+    mcap_cols = {h[len("mcap_"):]: i for i, h in enumerate(header)
+                 if h.startswith("mcap_")}
     if not price_cols:
         raise PanelError("no price_<id> columns found")
     ids = tuple(sorted(price_cols))

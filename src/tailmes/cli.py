@@ -17,7 +17,6 @@ import sys
 from . import __version__
 from .backtest import PanelError, ingest_csv, read_forecast_csv, rolling_forecast, write_forecast_csv
 from .distributions import BurrParams
-from .garch import GarchParams
 from .simlab import SimConfig, run_study
 
 EXIT_OK = 0
@@ -40,9 +39,7 @@ def _default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _get(parser: configparser.ConfigParser, section: str, key: str, cast, default):
-    if not parser.has_option(section, key):
-        return default
+def _parse(parser: configparser.ConfigParser, section: str, key: str, cast):
     raw = parser.get(section, key)
     try:
         return cast(raw)
@@ -54,55 +51,48 @@ def _parse_p_grid(raw: str) -> tuple:
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
 
+# the keys each config section may hold, with the parser of each value
+_GARCH_KEYS = {"omega": float, "alpha": float, "beta": float}
+_CONFIG_KEYS = {
+    "study": {"n": int, "ell_n": int, "p_grid": _parse_p_grid, "nu": float, "rho": float,
+              "a": float, "b": float, "replications": int, "base_seed": int,
+              "iota": float, "burn_in": int},
+    "garch_x": _GARCH_KEYS,
+    "garch_y": _GARCH_KEYS,
+}
+
+
 def load_sim_config(path, seed_override=None) -> SimConfig:
     """Read a study configuration; every key is optional and defaults to the
-    standard bivariate design, so a minimal file selects just n and seed."""
+    standard bivariate design, so a minimal file selects just n and seed. An
+    unknown section or key, such as a misspelt one, is an error."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file not found or unreadable: {path}")
+    given = {}
     for section in parser.sections():
-        if section not in ("study", "garch_x", "garch_y"):
+        keys = _CONFIG_KEYS.get(section)
+        if keys is None:
             raise ConfigError(f"unknown config section [{section}]")
+        unknown = sorted(set(parser.options(section)) - set(keys))
+        if unknown:
+            raise ConfigError(f"[{section}]: unknown key(s) {', '.join(unknown)}")
+        given[section] = {key: _parse(parser, section, key, keys[key])
+                          for key in parser.options(section)}
     base = SimConfig()
-    s = "study"
-    if not parser.has_section(s):
-        parser.add_section(s)
-
-    def garch(section: str, default: GarchParams) -> GarchParams:
+    study = given.pop("study", {})
+    if seed_override is not None:
+        study["base_seed"] = seed_override
+    for section, values in given.items():  # the GARCH sections
         try:
-            return GarchParams(
-                omega=_get(parser, section, "omega", float, default.omega),
-                alpha=_get(parser, section, "alpha", float, default.alpha),
-                beta=_get(parser, section, "beta", float, default.beta),
-            )
+            study[section] = dataclasses.replace(getattr(base, section), **values)
         except ValueError as exc:
             raise ConfigError(f"[{section}]: {exc}") from exc
-
     try:
-        burr = BurrParams(a=_get(parser, s, "a", float, base.burr.a),
-                          b=_get(parser, s, "b", float, base.burr.b))
-        config = SimConfig(
-            n=_get(parser, s, "n", int, base.n),
-            ell_n=_get(parser, s, "ell_n", int, base.ell_n),
-            p_grid=_get(parser, s, "p_grid", _parse_p_grid, base.p_grid),
-            nu=_get(parser, s, "nu", float, base.nu),
-            rho=_get(parser, s, "rho", float, base.rho),
-            burr=burr,
-            replications=_get(parser, s, "replications", int, base.replications),
-            base_seed=seed_override if seed_override is not None
-            else _get(parser, s, "base_seed", int, base.base_seed),
-            garch_x=garch("garch_x", base.garch_x),
-            garch_y=garch("garch_y", base.garch_y),
-            iota=_get(parser, s, "iota", float, base.iota),
-            burn_in=_get(parser, s, "burn_in", int, base.burn_in),
-            ml_draws=_get(parser, s, "ml_draws", int, base.ml_draws),
-        )
-    except ConfigError:
-        raise
+        study["burr"] = BurrParams(a=study.pop("a", base.burr.a), b=study.pop("b", base.burr.b))
+        return SimConfig(**study)
     except ValueError as exc:
         raise ConfigError(f"[study]: {exc}") from exc
-    return config
 
 
 def _config_snapshot(config: SimConfig) -> dict:
@@ -114,7 +104,6 @@ def _config_snapshot(config: SimConfig) -> dict:
         "garch_x": dataclasses.asdict(config.garch_x),
         "garch_y": dataclasses.asdict(config.garch_y),
         "iota": config.iota, "burn_in": config.burn_in,
-        "ml_draws": config.ml_draws,
     }
 
 

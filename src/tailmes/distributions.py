@@ -147,8 +147,18 @@ def burr_isf(q, params: BurrParams):
     q = np.asarray(q, dtype=float)
     if np.any(q <= 0.0) or np.any(q > 1.0):
         raise ValueError("tail probability must lie in (0, 1]")
-    x = np.power(np.expm1(-np.log(q) / params.a), 1.0 / params.b)
+    x = np.exp(_burr_log_isf(np.log(q), params))
     return x if x.ndim else float(x)
+
+
+def _burr_log_isf(log_q, params: BurrParams):
+    """log burr_isf from log q: log x = (y + log(1 - e^-y)) / b with y = -log(q)/a.
+
+    Stays finite where q^(-1/a) itself overflows (small a, deep q).
+    """
+    y = -np.asarray(log_q, dtype=float) / params.a
+    with np.errstate(divide="ignore"):  # q = 1: log x = -inf, x = 0
+        return (y + np.log(-np.expm1(-y))) / params.b
 
 
 def burr_moment(r: float, params: BurrParams) -> float:

@@ -168,7 +168,7 @@ def _neg_quasi_loglik_and_score(u: np.ndarray, z_sq: np.ndarray):
     return f, grad
 
 
-def qmle_fit(series, max_iter: int = 500) -> GarchFit:
+def qmle_fit(series) -> GarchFit:
     """Gaussian quasi-maximum-likelihood fit of a GARCH(1,1) margin.
 
     The data are standardized by the window's sample standard deviation and the
@@ -203,7 +203,7 @@ def qmle_fit(series, max_iter: int = 500) -> GarchFit:
         # towards the cap; the exact score makes the tighter one cheap
         res = optimize.minimize(_neg_quasi_loglik_and_score, u0, args=(z_sq,), jac=True,
                                 method="L-BFGS-B", bounds=_FIT_BOUNDS,
-                                options={"maxiter": max_iter, "ftol": 1e-12})
+                                options={"maxiter": 500, "ftol": 1e-12})
         total_iter += res.nit
         if best is None or res.fun < best.fun:
             best = res

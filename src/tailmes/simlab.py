@@ -4,8 +4,6 @@ Monte Carlo oracles that cross-check it."""
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
@@ -16,8 +14,8 @@ from .distributions import (
     BurrParams,
     InnovationSpec,
     TCopulaParams,
+    _burr_log_isf,
     _conditional_params,
-    burr_isf,
     burr_quantile,
     sample_innovations,
     sample_t_copula,
@@ -58,7 +56,6 @@ class SimConfig:
     garch_y: GarchParams = field(default_factory=lambda: GarchParams(0.001, 0.1, 0.85))
     iota: float = 0.05
     burn_in: int = 500
-    ml_draws: int = 100_000
 
     def __post_init__(self) -> None:
         if self.replications < 1:
@@ -150,12 +147,6 @@ class SimResult:
             fh.write("\n".join(lines) + "\n")
 
 
-def _stable_seed(*parts) -> int:
-    """Deterministic 64-bit seed from arbitrary hashable numeric parts."""
-    payload = b"".join(struct.pack("<d", float(x)) for x in parts)
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
-
-
 def _tail_t_quantiles(p: float, v: np.ndarray, nu: float) -> np.ndarray:
     """t_nu upper-tail quantiles isf(p * v) for v in (0, 1], via log-log interpolation.
 
@@ -238,7 +229,8 @@ def rejection_theta_oracle(nu: float, rho: float, burr: BurrParams, p: float,
 
 def theta_quadrature(nu: float, rho: float, burr: BurrParams, p: float,
                      nodes: int = 50, positive_part: bool = False) -> float:
-    """Deterministic quadrature for theta_p; the study's truth.
+    """Deterministic quadrature for theta_p; the study's truth and, at the
+    fitted parameters, the ML comparison estimate.
 
     theta_p = int_0^1 E[eps_Y | U_X = 1 - p*t] dt. Given T_X = t1, T_Y = loc +
     scale * S with S ~ t_{nu+1}, and eps_Y has a cusp at T_Y = 0 (it grows like
@@ -247,9 +239,16 @@ def theta_quadrature(nu: float, rho: float, burr: BurrParams, p: float,
     and (c, 1) with c = F_{nu+1}(-loc/scale). The singular endpoints (outer
     t -> 0, both ends of each piece) are tamed by x = s^5 and x = 1 - s^5
     before Gauss-Legendre integration with `nodes` nodes per range; eps_Y is
-    computed from the tail probability of |T_Y|, so neither tail loses digits.
-    At 50 nodes, doubling the nodes moves theta_p by under 1e-12 relative for
-    p from 1e-2 to 1e-7 in the standard design.
+    computed in logs from the log tail probability of |T_Y|, so neither tail
+    loses digits and a deep quantile does not overflow. At 50 nodes, doubling
+    the nodes moves theta_p by under 1e-12 relative for p from 1e-2 to 1e-7 in
+    the standard design.
+
+    The value is finite, and doubling the nodes moves it by under 1e-8
+    relative, on the range of the ML fit: nu in [1.2, 60], |rho| <= 0.999,
+    a*b > 2.02, b from 0.3 to 1e4 and p from 1e-5 to 1e-2 (checked on the
+    corners of that box; the tests keep a grid of them). Below it, at b = 0.01
+    and a*b = 50, the standardization constant of the Burr margin is 0.
 
     With positive_part=True the conditional mean of max(eps_Y, 0) is returned
     (the piece T_Y < 0 is dropped); this is the quantity whose ratio to the
@@ -260,9 +259,7 @@ def theta_quadrature(nu: float, rho: float, burr: BurrParams, p: float,
     s_nodes, s_weights = np.polynomial.legendre.leggauss(nodes)
 
     def unit_rule(upper):
-        x = 0.5 * upper * (s_nodes + 1.0)
-        w = 0.5 * upper * s_weights
-        return x, w
+        return 0.5 * upper * (s_nodes + 1.0), 0.5 * upper * s_weights
 
     # outer variable t = s^5 over (0, 1)
     s, ws = unit_rule(1.0)
@@ -273,18 +270,30 @@ def theta_quadrature(nu: float, rho: float, burr: BurrParams, p: float,
     # a piece's probabilities, as shares x of its mass from its outer end,
     # split at 1/2 into x = z^5 and x = 1 - z^5
     z, wz = unit_rule(0.5 ** 0.2)
-    x = np.concatenate([z**5, 1.0 - z**5])
+    z5 = z**5
     wx = np.concatenate([wz * 5.0 * z**4] * 2)
     below = stats.t.cdf(-loc / scale, dof)
+    above = stats.t.sf(-loc / scale, dof)
 
-    def piece(mass, sign):
-        t2 = loc[:, None] + sign * scale[:, None] * stats.t.isf(mass[:, None] * x, dof)
-        eps = burr_isf(2.0 * stats.t.sf(np.abs(t2), nu), burr) / burr.std_constant
-        return sign * mass * (eps @ wx)
+    def piece(mass, other, sign):
+        m, o = mass[:, None], other[:, None]
+        outer = m * z5
+        kept = outer > 0.0  # a cell whose probability underflows is dropped
+        # near the cusp a piece holding most of the mass is read from the other
+        # side as ppf(other + m z^5) = -isf(.): m (1 - z^5) may round to 1
+        major = m > 0.5
+        s_t = np.concatenate([
+            stats.t.isf(np.where(kept, outer, 0.5), dof),
+            np.where(major, -1.0, 1.0)
+            * stats.t.isf(np.where(major, o + outer, m * (1.0 - z5)), dof)], axis=1)
+        t2 = loc[:, None] + sign * scale[:, None] * s_t
+        log_eps = _burr_log_isf(np.log(2.0) + stats.t.logsf(np.abs(t2), nu), burr)
+        eps = np.exp(log_eps) * np.concatenate([kept, np.ones_like(kept)], axis=1)
+        return sign * mass * (eps @ wx) / burr.std_constant
 
-    inner = piece(1.0 - below, 1.0)
+    inner = piece(above, below, 1.0)
     if not positive_part:
-        inner = inner + piece(below, -1.0)
+        inner = inner + piece(below, above, -1.0)
     return float(outer_w @ inner)
 
 
@@ -407,19 +416,16 @@ def _fit_ml(residuals: ResidualPanel) -> MlFit:
     return MlFit(burr=burr_y, nu=nu_hat, rho=rho_hat)
 
 
-def ml_estimator(residuals: ResidualPanel, p: float, draws: int = 100_000,
-                 rng_seed=None) -> float:
+def ml_estimator(residuals: ResidualPanel, p: float) -> float:
     """Parametric ML comparison estimate of theta_p.
 
     Fits the marginal Burr and copula parameters by ML, then evaluates the
-    implied MES with the conditional Monte Carlo oracle at the fitted values.
+    implied MES with `theta_quadrature` at the fitted values, the same
+    quadrature that gives the study's truth (its docstring states the range
+    of fitted values on which the result is finite).
     """
     fit = _fit_ml(residuals)
-    if rng_seed is None:
-        rng_seed = _stable_seed(fit.nu, fit.rho, fit.burr.a, fit.burr.b, p)
-    rng = np.random.default_rng(rng_seed)
-    eps = _conditional_tail_draws(fit.nu, fit.rho, fit.burr, p, draws, rng)
-    return float(np.mean(eps))
+    return theta_quadrature(fit.nu, fit.rho, fit.burr, p)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +492,7 @@ def _run_rep_all_p(config: SimConfig, ps, rep_index: int, true_thetas: dict) -> 
     except Exception:  # noqa: BLE001
         ml_fit = None
 
-    for p_idx, p in enumerate(ps):
+    for p in ps:
         theta_true = true_thetas[p].theta_p * sigma_true_fc
         cfg = TailConfig(k=k, k1=k, p=p, n=n_eff)
         theta_p_hat = mes_extrapolate(theta_within, gamma_hat, cfg)
@@ -494,14 +500,8 @@ def _run_rep_all_p(config: SimConfig, ps, rep_index: int, true_thetas: dict) -> 
                                      cfg, config.iota)
         theta_np = mes_np(res_x, res_y, p) * fit_y.vol_forecast
 
-        theta_ml = None
-        ml_failed = ml_fit is None
-        if ml_fit is not None:
-            seed = _stable_seed(config.base_seed, rep_index, p, 7.0)
-            rng = np.random.default_rng(seed)
-            eps = _conditional_tail_draws(ml_fit.nu, ml_fit.rho, ml_fit.burr, p,
-                                          config.ml_draws, rng)
-            theta_ml = float(np.mean(eps)) * fit_y.vol_forecast
+        theta_ml = None if ml_fit is None else (
+            theta_quadrature(ml_fit.nu, ml_fit.rho, ml_fit.burr, p) * fit_y.vol_forecast)
 
         records.append(RepRecord(
             rep_index=rep_index, p=p, theta_true=theta_true,
@@ -509,7 +509,7 @@ def _run_rep_all_p(config: SimConfig, ps, rep_index: int, true_thetas: dict) -> 
             ci_lower=forecast.ci_lower, ci_upper=forecast.ci_upper,
             gamma_hat=gamma_hat, theta_ml=theta_ml, theta_np=theta_np,
             hit=bool(forecast.ci_lower <= theta_true <= forecast.ci_upper),
-            ml_failed=ml_failed, qmle_converged=qmle_ok,
+            ml_failed=ml_fit is None, qmle_converged=qmle_ok,
         ))
     return records
 
@@ -558,7 +558,7 @@ def _study_worker(args):
     return _run_rep_all_p(config, ps, rep_index, thetas)
 
 
-def run_study(config: SimConfig, threads: int = 1, progress=None) -> SimResult:
+def run_study(config: SimConfig, threads: int = 1) -> SimResult:
     """Run the full Monte Carlo study and aggregate Table-style metrics per p."""
     ps = list(config.p_grid)
     thetas = {p: _true_mes(config, p) for p in ps}
@@ -570,13 +570,9 @@ def run_study(config: SimConfig, threads: int = 1, progress=None) -> SimResult:
             jobs = [(config, ps, rep, thetas) for rep in range(config.replications)]
             for recs in pool.map(_study_worker, jobs, chunksize=8):
                 all_records.extend(recs)
-                if progress:
-                    progress(len(all_records) // len(ps))
     else:
         for rep in range(config.replications):
             all_records.extend(_run_rep_all_p(config, ps, rep, thetas))
-            if progress:
-                progress(rep + 1)
 
     all_records.sort(key=lambda r: (r.rep_index, r.p))
     rows = [_aggregate(all_records, p, config) for p in ps]

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from tailmes.cli import main
+from tailmes.cli import ConfigError, load_sim_config, main
 from tailmes.distributions import BurrParams, InnovationSpec, TCopulaParams, sample_innovations
 from tailmes.garch import GarchParams, simulate_ccc
+from tailmes.simlab import SimConfig
 
 
 @pytest.fixture()
@@ -93,6 +94,28 @@ class TestSimulateCommand:
                                                "p_grid = 0.4"))
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("extra, key", [("replicatons = 5\n", "replicatons"),
+                                            ("ml_draws = 5\n", "ml_draws")])
+    def test_unknown_study_key_exit_2(self, tmp_path, capsys, extra, key):
+        cfg = _sim_config(tmp_path, extra=extra)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_unknown_garch_key_rejected(self, tmp_path):
+        cfg = _sim_config(tmp_path, extra="[garch_y]\nomega = 0.002\ngama = 0.1\n")
+        with pytest.raises(ConfigError, match=r"\[garch_y\].*gama"):
+            load_sim_config(cfg)
+
+    def test_known_keys_load(self, tmp_path):
+        cfg = _sim_config(tmp_path, extra="a = 0.5\n[garch_x]\nalpha = 0.1\n")
+        config = load_sim_config(cfg, seed_override=8)
+        assert (config.n, config.replications, config.p_grid) == (300, 2, (0.01, 0.001))
+        assert (config.burr.a, config.burr.b, config.base_seed) == (0.5, 20.0, 8)
+        assert (config.garch_x.omega, config.garch_x.alpha) == (0.001, 0.1)
+        assert config.garch_y == SimConfig().garch_y
 
 
 class TestForecastCommand:

@@ -36,6 +36,13 @@ class TestBurrIsf:
         assert burr_isf(1.0 - u, BURR_ALT) == pytest.approx(burr_quantile(u, BURR_ALT),
                                                              rel=1e-12)
 
+    def test_deep_tail_at_small_a(self):
+        # q^(-1/a) overflows; x = q^(-1/(ab)) (1 - q^(1/a))^(1/b) with q^(1/a) = 0
+        burr, q = BurrParams(a=2.03 / 20.0, b=20.0), 1e-300
+        x = burr_isf(q, burr)
+        assert np.isfinite(x)
+        assert x == pytest.approx(np.exp(-np.log(q) / (burr.a * burr.b)), rel=1e-12)
+
     @pytest.mark.parametrize("q", [0.0, -0.1, 1.5])
     def test_rejects_out_of_range(self, q):
         with pytest.raises(ValueError):

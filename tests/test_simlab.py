@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -9,10 +12,12 @@ from tailmes.distributions import (
     sample_innovations,
     symmetrized_quantile,
 )
-from tailmes.garch import GarchParams
+from tailmes.garch import GarchParams, filter_and_residualize, qmle_fit
 from tailmes.simlab import (
     SimConfig,
     _conditional_tail_draws,
+    _fit_ml,
+    _simulate_panel,
     _tail_t_quantiles,
     fit_burr_ml,
     fit_tcopula_ml,
@@ -102,6 +107,22 @@ class TestThetaQuadrature:
         o = true_theta_oracle(3.0, 0.95, BURR, p, 2_000_000, seed)
         assert abs(o.theta_p - theta_quadrature(3.0, 0.95, BURR, p)) < 3 * o.mc_error
 
+    @pytest.mark.parametrize("nu, rho", itertools.product((1.2, 3.0, 30.0, 60.0),
+                                                           (-0.99, 0.0, 0.95, 0.999)))
+    def test_finite_on_the_ml_fit_range(self, nu, rho):
+        # corners of the range an ML fit can return, where tail probabilities
+        # underflow, a quantile overflows or one piece holds almost all the mass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ab, b, p in itertools.product((2.03, 5.0, 50.0), (2.0, 20.0, 5000.0),
+                                              (1e-2, 1e-5)):
+                burr = BurrParams(a=ab / b, b=b)
+                coarse = theta_quadrature(nu, rho, burr, p, nodes=50)
+                fine = theta_quadrature(nu, rho, burr, p, nodes=100)
+                assert np.isfinite(coarse) and np.isfinite(fine), (ab, b, p)
+                # rho = 0 gives exactly 0 at both node counts
+                assert abs(fine - coarse) <= 1e-6 * abs(coarse), (ab, b, p)
+
     def test_study_truth_is_the_quadrature(self):
         cfg = SimConfig(replications=1, p_grid=(0.01, 0.001), base_seed=21)
         truth = run_study(cfg).diagnostics["true_theta"]
@@ -190,10 +211,23 @@ class TestMlEstimator:
         from tailmes.garch import ResidualPanel
 
         panel = ResidualPanel(residuals=draws, clipped=0, margin_ids=("X", "Y"))
-        est = ml_estimator(panel, 0.01, draws=400_000, rng_seed=4)
+        est = ml_estimator(panel, 0.01)
         oracle = true_theta_oracle(3.0, 0.95, BURR, 0.01, 2_000_000, 5)
         # ML noise at n = 5e4 plus MC noise; generous but informative band
         assert est == pytest.approx(oracle.theta_p, rel=0.10)
+
+    def test_one_path_for_the_implied_theta(self):
+        # ml_estimator and the study both evaluate theta_quadrature at the fit
+        cfg = SimConfig(replications=1, base_seed=33)
+        p = 0.001
+        losses, _ = _simulate_panel(cfg, 0)
+        fit_x, fit_y = qmle_fit(losses[:, 0]), qmle_fit(losses[:, 1])
+        panel = filter_and_residualize(losses, [fit_x, fit_y], cfg.ell_n,
+                                       margin_ids=("X", "Y"))
+        fit = _fit_ml(panel)
+        implied = theta_quadrature(fit.nu, fit.rho, fit.burr, p)
+        assert ml_estimator(panel, p) == implied
+        assert run_replication(cfg, p, 0).theta_ml == implied * fit_y.vol_forecast
 
     def test_too_few_residuals(self):
         from tailmes.garch import ResidualPanel
