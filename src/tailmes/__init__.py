@@ -28,7 +28,7 @@ from .evt import (
     mes_np,
     mes_within,
 )
-from .taildep import TailCovariance, r_hat_pair, sigma_hat, sigma_hat_from_residuals
+from .taildep import r_hat_pair, sigma_hat
 from .inference import WaldResult, contrast_matrix, structural_mes, wald_test
 from .simlab import (
     SimConfig,
@@ -53,7 +53,7 @@ __all__ = [
     "filter_and_residualize", "qmle_fit", "simulate_ccc",
     "MesForecast", "TailConfig", "assemble_forecast", "hill", "k_rule",
     "mes_extrapolate", "mes_np", "mes_within",
-    "TailCovariance", "r_hat_pair", "sigma_hat", "sigma_hat_from_residuals",
+    "r_hat_pair", "sigma_hat",
     "WaldResult", "contrast_matrix", "structural_mes", "wald_test",
     "SimConfig", "SimResult", "TrueMes", "ml_estimator", "mes_limit_integral",
     "rejection_theta_oracle", "run_replication", "run_study", "true_theta_oracle",

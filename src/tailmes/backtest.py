@@ -13,7 +13,7 @@ import numpy as np
 from .evt import TailConfig, assemble_forecast, hill, k_rule, mes_extrapolate, mes_within
 from .garch import filter_and_residualize, qmle_fit
 from .inference import WaldResult, wald_test
-from .taildep import sigma_hat_from_residuals
+from .taildep import sigma_hat
 
 __all__ = [
     "LossPanel",
@@ -41,8 +41,6 @@ class LossPanel:
 
     def __post_init__(self) -> None:
         self.losses = np.atleast_2d(np.asarray(self.losses, dtype=float))
-        if self.losses.shape[0] == 1 and len(self.dates) > 1:
-            self.losses = self.losses.T
         if len(self.dates) != self.losses.shape[0]:
             raise PanelError(
                 f"{len(self.dates)} dates for {self.losses.shape[0]} loss rows")
@@ -145,7 +143,7 @@ def _window_forecast(x_window: np.ndarray, y_window: np.ndarray, weights_now: np
             flags.append("qmle-nonconverged")
             flags += [f"qmle-nonconverged:{sid}" for sid in nonconverged]
             diagnostics["qmle_nonconverged"] = nonconverged
-    except Exception as exc:  # noqa: BLE001 - a bad window is data, not a crash
+    except ValueError as exc:  # a bad window is data, not a crash
         return ForecastRecord(date=date, series_ids=tuple(series_ids),
                               weights=tuple(weights_now), failed=True,
                               flags=("window-failed",),
@@ -156,8 +154,7 @@ def _window_forecast(x_window: np.ndarray, y_window: np.ndarray, weights_now: np
     if d >= 2:
         if np.all(weighted > 0):
             cols = [residuals.column(j + 1) for j in range(d)]
-            cov = sigma_hat_from_residuals(cols, np.asarray(gammas),
-                                           np.full(d, k, dtype=int), k)
+            cov = sigma_hat(cols, gammas, k)
             # the log-forecast errors concentrate at rate sqrt(k)/log(d_n),
             # so the chi-square pivot scales the quadratic form by k/log^2(d_n)
             scale = k / np.log(cfg.d_n) ** 2 if cfg.d_n > 1.0 else k
@@ -238,8 +235,9 @@ def ingest_csv(path) -> LossPanel:
     """Read a wide CSV (date, price_<id>..., mcap_<id>...) into a LossPanel.
 
     Prices become log-losses -log(P_t / P_{t-1}); the first price row is
-    consumed by differencing. Market caps, when present for every series, are
-    carried through on the same dates. Errors cite 1-based file lines.
+    consumed by differencing. Market caps, if given, must be given for every
+    series and are carried through on the same dates. Errors cite 1-based file
+    lines.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -259,7 +257,10 @@ def ingest_csv(path) -> LossPanel:
     if not price_cols:
         raise PanelError("no price_<id> columns found")
     ids = tuple(sorted(price_cols))
-    have_caps = set(mcap_cols) >= set(ids) and len(mcap_cols) > 0
+    have_caps = bool(mcap_cols)
+    missing_caps = sorted(set(ids) - set(mcap_cols))
+    if have_caps and missing_caps:
+        raise PanelError(f"no mcap_<id> column for {', '.join(missing_caps)}")
 
     dates, prices, caps = [], [], []
     for r, row in enumerate(rows):

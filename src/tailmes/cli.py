@@ -95,18 +95,6 @@ def load_sim_config(path, seed_override=None) -> SimConfig:
         raise ConfigError(f"[study]: {exc}") from exc
 
 
-def _config_snapshot(config: SimConfig) -> dict:
-    return {
-        "n": config.n, "ell_n": config.ell_n, "p_grid": list(config.p_grid),
-        "nu": config.nu, "rho": config.rho,
-        "burr": {"a": config.burr.a, "b": config.burr.b},
-        "replications": config.replications, "base_seed": config.base_seed,
-        "garch_x": dataclasses.asdict(config.garch_x),
-        "garch_y": dataclasses.asdict(config.garch_y),
-        "iota": config.iota, "burn_in": config.burn_in,
-    }
-
-
 def _write_manifest(out_path: str, command: str, argv, config_snapshot: dict,
                     seeds: dict, started: str, outputs) -> str:
     manifest = {
@@ -140,7 +128,7 @@ def cmd_simulate(args, argv) -> int:
     threads = args.threads if args.threads else _default_threads()
     result = run_study(config, threads=threads)
     result.write_csv(args.out)
-    _write_manifest(args.out, "simulate", argv, _config_snapshot(config),
+    _write_manifest(args.out, "simulate", argv, dataclasses.asdict(config),
                     {"base_seed": config.base_seed}, started, [args.out])
     print(f"wrote {args.out} ({len(result.rows)} risk levels, "
           f"{config.replications} replications)")
@@ -157,10 +145,6 @@ def cmd_forecast(args, argv) -> int:
     except PanelError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    if panel.n_series > 1 and panel.market_caps is None:
-        print("config error: mcap_<id> columns are required for multi-series panels",
-              file=sys.stderr)
-        return EXIT_CONFIG
     try:
         records = rolling_forecast(panel, n=args.window, ell_n=args.clip,
                                    p=args.p, iota=args.iota)

@@ -238,8 +238,6 @@ def qmle_fit(series) -> GarchFit:
 def filter_and_residualize(losses, fits, ell_n: int, margin_ids=None) -> ResidualPanel:
     """Standardized residuals eps_t = y_t / sigma_t per margin, first ell_n rows clipped."""
     losses = np.atleast_2d(np.asarray(losses, dtype=float))
-    if losses.ndim == 2 and losses.shape[0] == 1 and len(fits) == 1:
-        losses = losses.reshape(-1, 1)
     fits = list(fits)
     if losses.shape[1] != len(fits):
         raise ValueError(f"{len(fits)} fits for {losses.shape[1]} margins")

@@ -8,8 +8,6 @@ from typing import Optional
 import numpy as np
 from scipy import linalg, stats
 
-from .taildep import TailCovariance
-
 __all__ = ["WaldResult", "contrast_matrix", "wald_test", "wald_statistics", "structural_mes"]
 
 
@@ -33,23 +31,12 @@ def contrast_matrix(d: int) -> np.ndarray:
     return t - 1.0 / d
 
 
-def _contrast_factor(sigma: np.ndarray):
-    """Cholesky factorization of T Sigma T'; None if not positive definite."""
-    d = sigma.shape[0]
-    t = contrast_matrix(d)
-    m = t @ sigma @ t.T
-    try:
-        c, low = linalg.cho_factor(m, lower=True)
-    except linalg.LinAlgError:
-        return None
-    return t, (c, low)
-
-
-def wald_test(log_weighted_forecasts, sigma_hat: TailCovariance, k: int) -> WaldResult:
+def wald_test(log_weighted_forecasts, sigma, k: float) -> WaldResult:
     """Wald statistic k * (Tv)' (T Sigma T')^{-1} (Tv) against chi-square(D-1).
 
-    A failed Cholesky of the contrast covariance is reported, not raised, so
-    rolling backtests survive degenerate windows.
+    sigma is the D x D covariance from `taildep.sigma_hat`. A failed Cholesky
+    of the contrast covariance is reported, not raised, so rolling backtests
+    survive degenerate windows.
     """
     v = np.asarray(log_weighted_forecasts, dtype=float)
     if v.ndim != 1 or v.shape[0] < 2:
@@ -57,28 +44,24 @@ def wald_test(log_weighted_forecasts, sigma_hat: TailCovariance, k: int) -> Wald
     if not np.all(np.isfinite(v)):
         raise ValueError("log forecasts must be finite")
     d = v.shape[0]
-    if sigma_hat.sigma.shape != (d, d):
+    if np.shape(sigma) != (d, d):
         raise ValueError("covariance dimension does not match the forecast vector")
-    factor = _contrast_factor(sigma_hat.sigma)
-    if factor is None:
+    try:
+        stat = float(wald_statistics(v, sigma, k)[0])
+    except linalg.LinAlgError:
         return WaldResult(statistic=None, dof=d - 1, p_value=None, contrast_ok=False)
-    t, cho = factor
-    tv = t @ v
-    stat = float(k * tv @ linalg.cho_solve(cho, tv))
     return WaldResult(statistic=stat, dof=d - 1,
                       p_value=float(stats.chi2.sf(stat, d - 1)), contrast_ok=True)
 
 
-def wald_statistics(vectors, sigma: np.ndarray, k: float) -> np.ndarray:
-    """Vectorized Wald statistics for many forecast vectors under one covariance.
-
-    Shares the quadratic form of wald_test; used for calibration studies.
-    """
+def wald_statistics(vectors, sigma, k: float) -> np.ndarray:
+    """Wald statistics k * (Tv)' (T Sigma T')^{-1} (Tv) for one or many forecast
+    vectors (rows) under one covariance; raises LinAlgError when T Sigma T' is
+    not positive definite."""
     vs = np.atleast_2d(np.asarray(vectors, dtype=float))
-    factor = _contrast_factor(np.asarray(sigma, dtype=float))
-    if factor is None:
-        raise linalg.LinAlgError("contrast covariance is not positive definite")
-    t, cho = factor
+    sigma = np.asarray(sigma, dtype=float)
+    t = contrast_matrix(sigma.shape[0])
+    cho = linalg.cho_factor(t @ sigma @ t.T, lower=True)
     tv = vs @ t.T
     solved = linalg.cho_solve(cho, tv.T).T
     return k * np.einsum("ij,ij->i", tv, solved)

@@ -332,8 +332,9 @@ def _burr_ml_negloglik(log_a: float, log_b: float, mags: np.ndarray) -> float:
     a, b = np.exp(log_a), np.exp(log_b)
     if a * b <= 2.02 or a > 1e4 or b > 1e4:
         return np.inf
-    params = BurrParams(a=a, b=b)
-    c = params.std_constant
+    c = BurrParams(a=a, b=b).std_constant
+    if not c > 0:  # E[B^2] underflows for tiny b
+        return np.inf
     x = c * mags
     log_x = np.log(x)
     ll = (np.log(c) + np.log(a) + np.log(b) + (b - 1.0) * log_x
@@ -359,7 +360,7 @@ def fit_burr_ml(magnitudes) -> BurrParams:
         if np.isfinite(res.fun) and (best is None or res.fun < best.fun):
             best = res
     if best is None or not np.isfinite(best.fun):
-        raise RuntimeError("Burr ML fit did not converge")
+        raise ValueError("Burr ML fit did not converge")
     return BurrParams(a=float(np.exp(best.x[0])), b=float(np.exp(best.x[1])))
 
 
@@ -464,7 +465,7 @@ def _run_rep_all_p(config: SimConfig, ps, rep_index: int, true_thetas: dict) -> 
         fit_y = qmle_fit(losses[:, 1])
         residuals = filter_and_residualize(losses, [fit_x, fit_y], config.ell_n,
                                            margin_ids=("X", "Y"))
-    except Exception as exc:  # noqa: BLE001 - failure is data, not control flow
+    except ValueError as exc:  # failure is data, not control flow
         for p in ps:
             records.append(RepRecord(rep_index=rep_index, p=p, failed=True,
                                      fail_reason=f"qmle: {exc}"))
@@ -480,7 +481,7 @@ def _run_rep_all_p(config: SimConfig, ps, rep_index: int, true_thetas: dict) -> 
     try:
         gamma_hat = hill(res_y, k)
         theta_within = mes_within(res_x, res_y, k)
-    except Exception as exc:  # noqa: BLE001
+    except ValueError as exc:
         for p in ps:
             records.append(RepRecord(rep_index=rep_index, p=p, failed=True,
                                      fail_reason=f"evt: {exc}",
@@ -489,7 +490,7 @@ def _run_rep_all_p(config: SimConfig, ps, rep_index: int, true_thetas: dict) -> 
 
     try:
         ml_fit = _fit_ml(residuals)
-    except Exception:  # noqa: BLE001
+    except ValueError:
         ml_fit = None
 
     for p in ps:

@@ -2,30 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["TailCovariance", "r_hat_pair", "sigma_hat"]
-
-
-@dataclass
-class TailCovariance:
-    """Estimated asymptotic covariance of the joint log-MES forecast errors.
-
-    sigma is D x D with diagonal gamma_d^2; r_values maps (i, j) with i < j to
-    the pair (R_hat(q_i, q_j), R_hat(q_j, q_i)).
-    """
-
-    sigma: np.ndarray
-    gammas: np.ndarray
-    ks: np.ndarray
-    k: int
-    r_values: dict
-
-    @property
-    def dim(self) -> int:
-        return self.sigma.shape[0]
+__all__ = ["r_hat_pair", "sigma_hat"]
 
 
 def r_hat_pair(res_i, res_j, k: int, k_i: int, k_j: int):
@@ -51,38 +30,17 @@ def r_hat_pair(res_i, res_j, k: int, k_i: int, k_j: int):
     return float(first), float(second)
 
 
-def sigma_hat(gammas, ks, k: int, r_pairs: dict) -> TailCovariance:
-    """Covariance estimate: sigma_ij = k * g_i g_j / sqrt(k_i k_j) * mean of the
-    two R_hat values; the diagonal is gamma_d^2 by construction and is set exactly."""
+def sigma_hat(residual_columns, gammas, k: int) -> np.ndarray:
+    """D x D covariance of the joint log-MES forecast errors at one threshold k:
+    sigma_ij = g_i g_j R_hat_ij, with R_hat the empirical tail copula of
+    residual columns i and j; the diagonal is g_d^2 exactly."""
     gammas = np.asarray(gammas, dtype=float)
-    ks = np.asarray(ks, dtype=int)
     d = gammas.shape[0]
-    if ks.shape[0] != d:
-        raise ValueError("gammas and ks must have the same length")
-    if k < 1 or np.any(ks < 1):
-        raise ValueError("exceedance counts must be positive")
-    sigma = np.empty((d, d))
-    r_values = {}
-    for i in range(d):
-        sigma[i, i] = gammas[i] ** 2
-        r_values[(i, i)] = (ks[i] / k, ks[i] / k)
-        for j in range(i + 1, d):
-            if (i, j) not in r_pairs:
-                raise ValueError(f"missing R_hat values for pair {(i, j)}")
-            r_ij, r_ji = r_pairs[(i, j)]
-            val = k * gammas[i] * gammas[j] / np.sqrt(ks[i] * ks[j]) * (r_ij + r_ji) / 2.0
-            sigma[i, j] = sigma[j, i] = val
-            r_values[(i, j)] = (float(r_ij), float(r_ji))
-    return TailCovariance(sigma=sigma, gammas=gammas, ks=ks, k=k, r_values=r_values)
-
-
-def sigma_hat_from_residuals(residual_columns, gammas, ks, k: int) -> TailCovariance:
-    """Convenience wrapper computing all pairwise R_hat values from residual series."""
-    cols = [np.asarray(c, dtype=float) for c in residual_columns]
-    d = len(cols)
-    ks = np.asarray(ks, dtype=int)
-    r_pairs = {}
+    if len(residual_columns) != d:
+        raise ValueError(f"{len(residual_columns)} residual columns for {d} gammas")
+    sigma = np.diag(gammas**2)
     for i in range(d):
         for j in range(i + 1, d):
-            r_pairs[(i, j)] = r_hat_pair(cols[i], cols[j], k, int(ks[i]), int(ks[j]))
-    return sigma_hat(gammas, ks, k, r_pairs)
+            r_ij = r_hat_pair(residual_columns[i], residual_columns[j], k, k, k)[0]
+            sigma[i, j] = sigma[j, i] = gammas[i] * gammas[j] * r_ij
+    return sigma

@@ -46,6 +46,15 @@ class TestLossPanel:
             LossPanel(dates=("a", "b"), losses=np.zeros((2, 1)), series_ids=("s",),
                       market_caps=np.array([[1.0], [-2.0]]))
 
+    def test_transposed_losses_rejected(self):
+        # a one-series panel given as 1 x T (or as a flat array) is not
+        # transposed behind the caller's back
+        for losses in (np.zeros((1, 3)), np.zeros(3)):
+            with pytest.raises(PanelError, match="3 dates for 1 loss rows"):
+                LossPanel(dates=_dates(3), losses=losses, series_ids=("s",))
+        with pytest.raises(PanelError, match="3 dates for 2 loss rows"):
+            LossPanel(dates=_dates(3), losses=np.zeros((2, 3)), series_ids=("a", "b"))
+
 
 class TestBuildIndex:
     def test_equal_caps_is_simple_average(self):
@@ -122,6 +131,17 @@ class TestRollingForecast:
             factor = rec.ci_upper[j] / rec.theta_hat[j]
             assert rec.theta_hat[j] / rec.ci_lower[j] == pytest.approx(factor, rel=1e-10)
 
+    def test_programming_error_propagates(self, monkeypatch):
+        # only domain errors (ValueError) turn a window into a failed record
+        import tailmes.backtest as backtest
+
+        def broken(*args, **kwargs):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(backtest, "hill", broken)
+        with pytest.raises(TypeError, match="injected"):
+            rolling_forecast(_synthetic_panel(312, n_series=2, seed=5), n=300, ell_n=10, p=0.01)
+
     def test_too_short_panel(self):
         panel = _synthetic_panel(100)
         with pytest.raises(PanelError):
@@ -183,6 +203,15 @@ class TestIngestCsv:
             "2021-01-04,oops,5",
         ])
         with pytest.raises(PanelError, match="price_a"):
+            ingest_csv(path)
+
+    def test_partial_caps_name_missing_ids(self, tmp_path):
+        path = self._write(tmp_path, [
+            "date,price_a,price_b,price_c,mcap_b",
+            "2021-01-01,100,50,20,5",
+            "2021-01-04,90,51,21,5",
+        ])
+        with pytest.raises(PanelError, match="no mcap_<id> column for a, c"):
             ingest_csv(path)
 
     def test_no_caps_single_series_ok(self, tmp_path):

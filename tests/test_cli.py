@@ -139,7 +139,7 @@ class TestForecastCommand:
         bad.write_text("date,price_a\n2021-01-02,100\n2021-01-01,90\n")
         assert main(["forecast", str(bad), "--out", str(tmp_path / "o.csv")]) == 3
 
-    def test_missing_caps_exit_2(self, tmp_path):
+    def test_missing_caps_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "nocaps.csv"
         lines = ["date,price_a,price_b"]
         for i in range(30):
@@ -147,6 +147,19 @@ class TestForecastCommand:
         bad.write_text("\n".join(lines) + "\n")
         assert main(["forecast", str(bad), "--out", str(tmp_path / "o.csv"),
                      "--window", "15", "--clip", "2", "--p", "0.1"]) == 2
+        assert "market caps are required" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_partial_caps_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "partialcaps.csv"
+        lines = ["date,price_a,price_b,mcap_a"]
+        for i in range(30):
+            lines.append(f"2021-01-01#{i:04d},{100 + i},{200 - i},5")
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["forecast", str(bad), "--out", str(tmp_path / "o.csv"),
+                     "--window", "15", "--clip", "2", "--p", "0.1"]) == 3
+        assert "no mcap_<id> column for b" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_threads_flag_rejected(self, tmp_path, panel_csv):
         assert main(["forecast", str(panel_csv), "--out", str(tmp_path / "o.csv"),

@@ -299,6 +299,13 @@ class TestResidualize:
         panel = filter_and_residualize(np.array([[4.0], [-2.0]]), [FakeFit()], 0)
         assert np.allclose(panel.residuals[:, 0], [2.0, -1.0])
 
+    def test_one_dimensional_losses_rejected(self):
+        class FakeFit:
+            vol_path = np.array([2.0, 2.0])
+
+        with pytest.raises(ValueError, match="1 fits for 2 margins"):
+            filter_and_residualize(np.array([4.0, -2.0]), [FakeFit()], 0)
+
     def test_clipping(self):
         class FakeFit:
             vol_path = np.ones(20)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import linalg, stats
 
 from tailmes.inference import (
     contrast_matrix,
@@ -9,23 +11,6 @@ from tailmes.inference import (
     wald_statistics,
     wald_test,
 )
-from tailmes.taildep import sigma_hat
-
-
-def _cov(sigma_matrix, gammas=None, k=100):
-    """Wrap a raw covariance matrix in the TailCovariance container."""
-    sigma_matrix = np.asarray(sigma_matrix, dtype=float)
-    d = sigma_matrix.shape[0]
-    gam = np.sqrt(np.diag(sigma_matrix)) if gammas is None else np.asarray(gammas)
-    ks = np.full(d, k)
-    pairs = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            # back out the R values that reproduce the requested off-diagonal
-            denom = k * gam[i] * gam[j] / np.sqrt(ks[i] * ks[j])
-            r = sigma_matrix[i, j] / denom if denom != 0 else 0.0
-            pairs[(i, j)] = (r, r)
-    return sigma_hat(gam, ks, k, pairs)
 
 
 class TestContrastMatrix:
@@ -47,7 +32,7 @@ class TestContrastMatrix:
 
 class TestWaldTest:
     def test_equal_inputs(self):
-        res = wald_test([1.3, 1.3, 1.3], _cov(np.eye(3)), 50)
+        res = wald_test([1.3, 1.3, 1.3], np.eye(3), 50)
         assert res.contrast_ok
         assert res.statistic == pytest.approx(0.0, abs=1e-10)
         assert res.p_value == pytest.approx(1.0)
@@ -56,17 +41,17 @@ class TestWaldTest:
     def test_d2_hand_algebra(self):
         # T Sigma T' = 1/2 for Sigma = I, so the statistic is (a-b)^2 / 2
         a, b = 0.9, 0.1
-        res = wald_test([a, b], _cov(np.eye(2)), 1)
+        res = wald_test([a, b], np.eye(2), 1)
         assert res.statistic == pytest.approx((a - b) ** 2 / 2, rel=1e-12)
 
     def test_scales_with_k(self):
         v = [0.4, 0.9]
-        s1 = wald_test(v, _cov(np.eye(2)), 1).statistic
-        s9 = wald_test(v, _cov(np.eye(2)), 9).statistic
+        s1 = wald_test(v, np.eye(2), 1).statistic
+        s9 = wald_test(v, np.eye(2), 9).statistic
         assert s9 == pytest.approx(9 * s1)
 
     def test_constant_shift_invariance(self):
-        cov = _cov([[0.04, 0.01], [0.01, 0.09]])
+        cov = [[0.04, 0.01], [0.01, 0.09]]
         v = np.array([0.2, 0.7])
         base = wald_test(v, cov, 30).statistic
         shifted = wald_test(v + 5.0, cov, 30).statistic
@@ -78,25 +63,43 @@ class TestWaldTest:
         a = rng.standard_normal((d, d))
         sigma = a @ a.T + d * np.eye(d)
         v = rng.standard_normal(d)
-        base = wald_test(v, _cov(sigma), 10).statistic
+        base = wald_test(v, sigma, 10).statistic
         perm = rng.permutation(d)
-        permuted = wald_test(v[perm], _cov(sigma[np.ix_(perm, perm)]), 10).statistic
+        permuted = wald_test(v[perm], sigma[np.ix_(perm, perm)], 10).statistic
         assert permuted == pytest.approx(base, rel=1e-8)
 
     def test_pvalue_monotone(self):
-        cov = _cov(np.eye(2))
+        cov = np.eye(2)
         stats_ = [wald_test([0.0, b], cov, 5) for b in (0.1, 0.5, 1.0)]
         pvals = [r.p_value for r in stats_]
         assert pvals[0] > pvals[1] > pvals[2]
 
     def test_singular_flagged_not_raised(self):
-        res = wald_test([0.1, 0.2], _cov(np.ones((2, 2))), 10)
+        res = wald_test([0.1, 0.2], np.ones((2, 2)), 10)
         assert not res.contrast_ok
         assert res.statistic is None and res.p_value is None
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            wald_test([np.nan, 0.1], _cov(np.eye(2)), 10)
+            wald_test([np.nan, 0.1], np.eye(2), 10)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_statistic_is_wald_statistics(self, data):
+        # small integer factors make T Sigma T' singular often enough to
+        # exercise the contrast_ok=False branch as well
+        d = data.draw(st.integers(2, 5))
+        a = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=d * d, max_size=d * d)),
+                     dtype=float).reshape(d, d)
+        sigma = a @ a.T
+        v = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d)))
+        k = data.draw(st.floats(0.1, 100.0))
+        res = wald_test(v, sigma, k)
+        if res.contrast_ok:
+            assert res.statistic == wald_statistics(v, sigma, k)[0]
+        else:
+            with pytest.raises(linalg.LinAlgError):
+                wald_statistics(v, sigma, k)
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_chi_square_calibration(self, d):

@@ -15,6 +15,7 @@ from tailmes.distributions import (
 from tailmes.garch import GarchParams, filter_and_residualize, qmle_fit
 from tailmes.simlab import (
     SimConfig,
+    _burr_ml_negloglik,
     _conditional_tail_draws,
     _fit_ml,
     _simulate_panel,
@@ -161,6 +162,15 @@ class TestMlFits:
         assert fit.a == pytest.approx(BURR.a, rel=0.10)
         assert fit.b == pytest.approx(BURR.b, rel=0.10)
 
+    def test_burr_negloglik_infinite_where_std_constant_underflows(self):
+        # at b = 0.01, a*b = 50, E[B^2] underflows to 0; the objective must
+        # reject the point instead of returning NaN with warnings
+        assert BurrParams(a=5000.0, b=0.01).std_constant == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = _burr_ml_negloglik(np.log(5000.0), np.log(0.01), np.linspace(0.1, 3.0, 50))
+        assert val == np.inf
+
     def test_tcopula_ml_consistency(self, big_sample):
         n = big_sample.shape[0]
         u = stats.rankdata(big_sample[:, 0]) / (n + 1)
@@ -186,6 +196,18 @@ class TestRunReplication:
     def test_hit_definition(self):
         r = run_replication(self.CFG, 0.001, 0)
         assert r.hit == (r.ci_lower <= r.theta_true <= r.ci_upper)
+
+    @pytest.mark.parametrize("name", ["_fit_ml", "hill"])
+    def test_programming_error_propagates(self, monkeypatch, name):
+        # only domain errors (ValueError) become failed or ml_failed records
+        import tailmes.simlab as simlab
+
+        def broken(*args, **kwargs):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(simlab, name, broken)
+        with pytest.raises(TypeError, match="injected"):
+            run_replication(self.CFG, 0.001, 0)
 
     def test_degenerate_garch_isolates_evt_error(self):
         # alpha = beta = 0: sigma is flat at sqrt(omega), so the volatility
