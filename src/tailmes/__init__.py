@@ -17,7 +17,7 @@ from .distributions import (
     tcopula_conditional_cdf,
     tcopula_conditional_quantile,
 )
-from .garch import GarchFit, GarchParams, ResidualPanel, filter_and_residualize, qmle_fit, simulate_ccc
+from .garch import GarchFit, GarchParams, filter_and_residualize, qmle_fit, simulate_ccc
 from .evt import (
     MesForecast,
     TailConfig,
@@ -49,7 +49,7 @@ __all__ = [
     "burr_cdf", "burr_moment", "burr_quantile", "sample_innovations",
     "symmetrized_quantile", "tail_copula_R",
     "tcopula_conditional_cdf", "tcopula_conditional_quantile",
-    "GarchFit", "GarchParams", "ResidualPanel",
+    "GarchFit", "GarchParams",
     "filter_and_residualize", "qmle_fit", "simulate_ccc",
     "MesForecast", "TailConfig", "assemble_forecast", "hill", "k_rule",
     "mes_extrapolate", "mes_np", "mes_within",

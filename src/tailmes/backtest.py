@@ -119,22 +119,18 @@ def _window_forecast(x_window: np.ndarray, y_window: np.ndarray, weights_now: np
         losses = np.column_stack([x_window, y_window])
         fits = [qmle_fit(losses[:, j]) for j in range(d + 1)]
         residuals = filter_and_residualize(losses, fits, ell_n)
-        n_eff = residuals.n
-        k = k_rule(n_eff)
-        cfg = TailConfig(k=k, k1=k, p=p, n=n_eff)
-        res_x = residuals.column(0)
+        cfg = TailConfig.from_rule(residuals.shape[0], p)
+        res_y = residuals[:, 1:]
+        gammas = hill(res_y, cfg.k)
+        theta_within = mes_within(residuals[:, 0], res_y, cfg.k)
 
-        thetas, lo, hi, gammas = [], [], [], []
+        thetas, lo, hi = [], [], []
         for j in range(d):
-            res_y = residuals.column(j + 1)
-            gamma = hill(res_y, k)
-            theta_within = mes_within(res_x, res_y, k)
-            theta_p = mes_extrapolate(theta_within, gamma, cfg)
-            fc = assemble_forecast(fits[j + 1].vol_forecast, theta_p, gamma, cfg, iota)
+            theta_p = mes_extrapolate(theta_within[j], gammas[j], cfg)
+            fc = assemble_forecast(fits[j + 1].vol_forecast, theta_p, gammas[j], cfg, iota)
             thetas.append(fc.theta_hat_np_level)
             lo.append(fc.ci_lower)
             hi.append(fc.ci_upper)
-            gammas.append(gamma)
             if fc.degenerate:
                 flags.append(f"degenerate:{series_ids[j]}")
         nonconverged = [sid for sid, f in zip(("index",) + tuple(series_ids), fits)
@@ -153,11 +149,10 @@ def _window_forecast(x_window: np.ndarray, y_window: np.ndarray, weights_now: np
     weighted = weights_now * np.asarray(thetas)
     if d >= 2:
         if np.all(weighted > 0):
-            cols = [residuals.column(j + 1) for j in range(d)]
-            cov = sigma_hat(cols, gammas, k)
+            cov = sigma_hat(res_y.T, gammas, cfg.k)
             # the log-forecast errors concentrate at rate sqrt(k)/log(d_n),
             # so the chi-square pivot scales the quadratic form by k/log^2(d_n)
-            scale = k / np.log(cfg.d_n) ** 2 if cfg.d_n > 1.0 else k
+            scale = cfg.k / np.log(cfg.d_n) ** 2 if cfg.d_n > 1.0 else cfg.k
             wald = wald_test(np.log(weighted), cov, scale)
             if not wald.contrast_ok:
                 flags.append("wald-singular")
@@ -167,7 +162,7 @@ def _window_forecast(x_window: np.ndarray, y_window: np.ndarray, weights_now: np
     return ForecastRecord(
         date=date, series_ids=tuple(series_ids),
         theta_hat=tuple(thetas), ci_lower=tuple(lo), ci_upper=tuple(hi),
-        gamma_hat=tuple(gammas), weights=tuple(weights_now),
+        gamma_hat=tuple(gammas.tolist()), weights=tuple(weights_now),
         wald=wald, flags=tuple(flags), diagnostics=diagnostics,
     )
 

@@ -2,7 +2,7 @@
 
 Provides the symmetrized, standardized Burr marginals, Student-t copula
 sampling, the closed-form t-copula tail-dependence function, and the
-conditional copula quantile used by the Monte Carlo oracles.
+conditional t-copula quantile and distribution function.
 """
 
 from __future__ import annotations

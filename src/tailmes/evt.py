@@ -21,18 +21,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TailConfig:
-    """Tail estimation configuration: exceedance counts, risk level, sample size."""
+    """Tail estimation configuration: exceedance count, risk level, sample size."""
 
     k: int
-    k1: int
     p: float
     n: int
 
     def __post_init__(self) -> None:
         if not 1 <= self.k < self.n:
             raise ValueError(f"k={self.k} must satisfy 1 <= k < n={self.n}")
-        if not 1 <= self.k1 < self.n:
-            raise ValueError(f"k1={self.k1} must satisfy 1 <= k1 < n={self.n}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p={self.p} must lie in (0, 1)")
         if self.d_n < 1.0:
@@ -48,23 +45,16 @@ class TailConfig:
 
     @classmethod
     def from_rule(cls, n: int, p: float) -> "TailConfig":
-        k = k_rule(n)
-        return cls(k=k, k1=k, p=p, n=n)
+        return cls(k=k_rule(n), p=p, n=n)
 
 
 @dataclass
 class MesForecast:
-    """Point MES forecast with its ingredients and confidence interval."""
+    """Point MES forecast and its confidence interval."""
 
     theta_hat_np_level: float
-    theta_hat_p: float
-    theta_within: float
-    gamma_hat: float
-    sigma_forecast: float
-    config: TailConfig
     ci_lower: float
     ci_upper: float
-    ci_level: float
     degenerate: bool = False
 
 
@@ -75,34 +65,41 @@ def k_rule(n: int) -> int:
     return int(np.floor(0.1 * np.log(n) ** 4))
 
 
-def hill(values, k1: int) -> float:
-    """Hill estimator: mean log-ratio of the top k1 order statistics to the (k1+1)-th."""
-    v = np.sort(np.asarray(values, dtype=float))[::-1]
-    if k1 + 1 > v.shape[0]:
-        raise ValueError(f"k1={k1} requires at least {k1 + 1} observations")
-    if k1 < 1:
-        raise ValueError("k1 must be at least 1")
-    threshold = v[k1]
-    if threshold <= 0:
+def _descending(values, k: int) -> np.ndarray:
+    """`values` (a column, or an n x D matrix of columns) sorted in descending
+    order along axis 0. Row k holds each column's (k+1)-th largest value, the
+    threshold at which every tail estimator here cuts, so k must lie in 1..n-1."""
+    v = np.asarray(values, dtype=float)
+    if k < 1:
+        raise ValueError(f"k={k} must be at least 1")
+    if k + 1 > v.shape[0]:
+        raise ValueError(f"k={k} requires at least {k + 1} observations")
+    return np.sort(v, axis=0)[::-1]
+
+
+def hill(values, k: int) -> float | np.ndarray:
+    """Hill estimator: mean log-ratio of the top k order statistics to the
+    (k+1)-th, one value per column of a matrix."""
+    v = _descending(values, k)
+    threshold = v[k]
+    if np.any(threshold <= 0):
         raise ValueError(
-            f"({k1 + 1})-th largest value {threshold} is not positive; "
-            "k1 exceeds the positive tail"
+            f"({k + 1})-th largest value {threshold} is not positive; "
+            "k exceeds the positive tail"
         )
-    return float(np.mean(np.log(v[:k1] / threshold)))
+    return np.mean(np.log(v[:k] / threshold), axis=0)
 
 
-def mes_within(res_x, res_y, k: int) -> float:
+def mes_within(res_x, res_y, k: int) -> float | np.ndarray:
     """Within-sample MES: mean positive-part res_y over res_x exceedances of its
-    (k+1)-th largest order statistic (strict inequality)."""
+    (k+1)-th largest order statistic (strict inequality), one value per column
+    of a matrix res_y."""
     x = np.asarray(res_x, dtype=float)
     y = np.asarray(res_y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError("res_x and res_y must be aligned")
-    if k + 1 > x.shape[0]:
-        raise ValueError(f"k={k} requires at least {k + 1} observations")
-    threshold = np.sort(x)[::-1][k]
-    exceed = x > threshold
-    return float(np.sum(np.maximum(y[exceed], 0.0)) / k)
+    if x.ndim != 1 or y.shape[:1] != x.shape:
+        raise ValueError("res_x must be one column aligned with the rows of res_y")
+    exceed = x > _descending(x, k)[k]
+    return np.sum(np.maximum(y[exceed], 0.0), axis=0) / k
 
 
 def mes_extrapolate(theta_within: float, gamma_hat: float, config: TailConfig) -> float:
@@ -121,10 +118,9 @@ def mes_np(res_x, res_y, p: float) -> float:
         raise ValueError("res_x and res_y must be aligned")
     n = x.shape[0]
     m = int(np.floor(n * p))
-    if m + 1 > n:
-        raise ValueError(f"floor(n*p)+1 = {m + 1} exceeds the sample size {n}")
-    threshold = np.sort(x)[::-1][m]
-    exceed = x > threshold
+    if m == 0:  # p < 1/n: the threshold is the sample maximum, which nothing exceeds
+        return 0.0
+    exceed = x > _descending(x, m)[m]
     return float(np.sum(y[exceed]) / (n * p))
 
 
@@ -132,7 +128,7 @@ def assemble_forecast(sigma_forecast: float, theta_hat_p: float, gamma_hat: floa
                       config: TailConfig, iota: float) -> MesForecast:
     """Combine volatility forecast and innovation-MES estimate into a forecast with CI.
 
-    Interval: theta_hat * exp(-+ z_{1-iota/2} * gamma_hat * log(d_n) / sqrt(k1)).
+    Interval: theta_hat * exp(-+ z_{1-iota/2} * gamma_hat * log(d_n) / sqrt(k)).
     """
     if not 0.0 < iota < 1.0:
         raise ValueError(f"iota={iota} must lie in (0, 1)")
@@ -141,18 +137,11 @@ def assemble_forecast(sigma_forecast: float, theta_hat_p: float, gamma_hat: floa
     if theta_hat_p < 0:
         raise ValueError("theta_hat_p must be nonnegative")
     point = sigma_forecast * theta_hat_p
-    theta_within = theta_hat_p / config.d_n**gamma_hat
     if point == 0.0:
-        return MesForecast(
-            theta_hat_np_level=0.0, theta_hat_p=theta_hat_p, theta_within=theta_within,
-            gamma_hat=gamma_hat, sigma_forecast=sigma_forecast, config=config,
-            ci_lower=0.0, ci_upper=0.0, ci_level=1.0 - iota, degenerate=True,
-        )
+        return MesForecast(theta_hat_np_level=0.0, ci_lower=0.0, ci_upper=0.0,
+                           degenerate=True)
     z = special.ndtri(1.0 - iota / 2.0)
     # |gamma_hat| keeps the interval ordered if the Hill estimate dips below zero
-    half = np.exp(z * abs(gamma_hat) * np.log(config.d_n) / np.sqrt(config.k1))
-    return MesForecast(
-        theta_hat_np_level=point, theta_hat_p=theta_hat_p, theta_within=theta_within,
-        gamma_hat=gamma_hat, sigma_forecast=sigma_forecast, config=config,
-        ci_lower=point / half, ci_upper=point * half, ci_level=1.0 - iota,
-    )
+    half = np.exp(z * abs(gamma_hat) * np.log(config.d_n) / np.sqrt(config.k))
+    return MesForecast(theta_hat_np_level=point, ci_lower=point / half,
+                       ci_upper=point * half)

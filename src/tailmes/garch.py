@@ -15,7 +15,6 @@ from scipy.linalg import lapack
 __all__ = [
     "GarchParams",
     "GarchFit",
-    "ResidualPanel",
     "simulate_ccc",
     "qmle_fit",
     "filter_and_residualize",
@@ -59,27 +58,6 @@ class GarchFit:
     loglik: float
     converged: bool
     iterations: int
-
-
-@dataclass
-class ResidualPanel:
-    """Standardized residuals aligned across margins, first `clipped` rows dropped."""
-
-    residuals: np.ndarray
-    clipped: int
-    margin_ids: tuple
-
-    def __post_init__(self) -> None:
-        self.residuals = np.asarray(self.residuals, dtype=float)
-        if not np.all(np.isfinite(self.residuals)):
-            raise ValueError("residual panel contains non-finite entries")
-
-    @property
-    def n(self) -> int:
-        return self.residuals.shape[0]
-
-    def column(self, idx: int) -> np.ndarray:
-        return self.residuals[:, idx]
 
 
 def _ar1_solve(beta: float, drive: np.ndarray, trans: bytes = b"N") -> np.ndarray:
@@ -239,23 +217,21 @@ def qmle_fit(series) -> GarchFit:
     )
 
 
-def filter_and_residualize(losses, fits, ell_n: int, margin_ids=None) -> ResidualPanel:
-    """Standardized residuals eps_t = y_t / sigma_t per margin, first ell_n rows clipped."""
+def filter_and_residualize(losses, fits, ell_n: int) -> np.ndarray:
+    """Standardized residuals eps_t = y_t / sigma_t per margin as an n x D matrix,
+    first ell_n rows clipped."""
     losses = np.atleast_2d(np.asarray(losses, dtype=float))
     fits = list(fits)
     if losses.shape[1] != len(fits):
         raise ValueError(f"{len(fits)} fits for {losses.shape[1]} margins")
     if not 0 <= ell_n < losses.shape[0]:
         raise ValueError(f"ell_n={ell_n} incompatible with {losses.shape[0]} observations")
-    residuals = np.empty_like(losses)
-    for j, fit in enumerate(fits):
-        vol = np.asarray(fit.vol_path, dtype=float)
-        if vol.shape[0] != losses.shape[0]:
-            raise ValueError("volatility path not aligned with losses")
-        if np.any(vol <= 0):
-            raise ValueError("non-positive volatility signals a corrupted fit")
-        residuals[:, j] = losses[:, j] / vol
-    if margin_ids is None:
-        margin_ids = tuple(range(losses.shape[1]))
-    return ResidualPanel(residuals=residuals[ell_n:], clipped=ell_n,
-                         margin_ids=tuple(margin_ids))
+    vol = np.column_stack([fit.vol_path for fit in fits])
+    if vol.shape != losses.shape:
+        raise ValueError("volatility paths not aligned with losses")
+    if np.any(vol <= 0):
+        raise ValueError("non-positive volatility signals a corrupted fit")
+    residuals = (losses / vol)[ell_n:]
+    if not np.all(np.isfinite(residuals)):
+        raise ValueError("residuals contain non-finite entries")
+    return residuals

@@ -23,7 +23,7 @@ from .distributions import (
     tail_copula_R,
 )
 from .evt import TailConfig, assemble_forecast, hill, k_rule, mes_np, mes_within, mes_extrapolate
-from .garch import GarchParams, ResidualPanel, filter_and_residualize, qmle_fit, simulate_ccc
+from .garch import GarchParams, filter_and_residualize, qmle_fit, simulate_ccc
 
 __all__ = [
     "SimConfig",
@@ -414,21 +414,20 @@ def _average_rank(x: np.ndarray) -> np.ndarray:
     return 0.5 * (2 * last - counts + 1)[tie_group]
 
 
-def _fit_ml(residuals: ResidualPanel) -> MlFit:
-    """Marginal Burr + t-copula ML fit on a bivariate residual panel."""
-    if residuals.n < 200:
+def _fit_ml(residuals: np.ndarray) -> MlFit:
+    """Marginal Burr + t-copula ML fit on an n x 2 residual matrix (X, Y)."""
+    n = residuals.shape[0]
+    if n < 200:
         raise ValueError("ML estimator requires at least 200 residuals")
-    res_x = residuals.column(0)
-    res_y = residuals.column(1)
+    res_x, res_y = residuals.T
     burr_y = fit_burr_ml(np.abs(res_y))
-    n = residuals.n
     u = _average_rank(res_x) / (n + 1.0)
     v = _average_rank(res_y) / (n + 1.0)
     nu_hat, rho_hat = fit_tcopula_ml(u, v)
     return MlFit(burr=burr_y, nu=nu_hat, rho=rho_hat)
 
 
-def ml_estimator(residuals: ResidualPanel, p: float) -> float:
+def ml_estimator(residuals: np.ndarray, p: float) -> float:
     """Parametric ML comparison estimate of theta_p.
 
     Fits the marginal Burr and copula parameters by ML, then evaluates the
@@ -474,8 +473,7 @@ def _run_rep_all_p(config: SimConfig, ps, rep_index: int, true_thetas: dict) -> 
     try:
         fit_x = qmle_fit(losses[:, 0])
         fit_y = qmle_fit(losses[:, 1])
-        residuals = filter_and_residualize(losses, [fit_x, fit_y], config.ell_n,
-                                           margin_ids=("X", "Y"))
+        residuals = filter_and_residualize(losses, [fit_x, fit_y], config.ell_n)
     except ValueError as exc:  # failure is data, not control flow
         for p in ps:
             records.append(RepRecord(rep_index=rep_index, p=p, failed=True,
@@ -483,9 +481,8 @@ def _run_rep_all_p(config: SimConfig, ps, rep_index: int, true_thetas: dict) -> 
         return records
 
     sigma_true_fc = _true_sigma_forecast(losses[:, 1], sigmas[:, 1], config.garch_y)
-    res_x = residuals.column(0)
-    res_y = residuals.column(1)
-    n_eff = residuals.n
+    res_x, res_y = residuals.T
+    n_eff = residuals.shape[0]
     k = k_rule(n_eff)
     qmle_ok = fit_x.converged and fit_y.converged
 
@@ -506,7 +503,7 @@ def _run_rep_all_p(config: SimConfig, ps, rep_index: int, true_thetas: dict) -> 
 
     for p in ps:
         theta_true = true_thetas[p].theta_p * sigma_true_fc
-        cfg = TailConfig(k=k, k1=k, p=p, n=n_eff)
+        cfg = TailConfig(k=k, p=p, n=n_eff)
         theta_p_hat = mes_extrapolate(theta_within, gamma_hat, cfg)
         forecast = assemble_forecast(fit_y.vol_forecast, theta_p_hat, gamma_hat,
                                      cfg, config.iota)

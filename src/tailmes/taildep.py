@@ -4,43 +4,35 @@ from __future__ import annotations
 
 import numpy as np
 
+from .evt import _descending
+
 __all__ = ["r_hat_pair", "sigma_hat"]
 
 
-def r_hat_pair(res_i, res_j, k: int, k_i: int, k_j: int):
-    """Empirical tail copula at (q_i, q_j) and with thresholds swapped.
-
-    First component: (1/k) * #{t: res_i[t] > i_(k_i+1), res_j[t] > j_(k_j+1)}.
-    Second component thresholds each series at the other series' order index.
-    Strict inequalities; ties at the threshold are excluded.
-    """
-    x = np.asarray(res_i, dtype=float)
-    y = np.asarray(res_j, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError("res_i and res_j must be aligned")
-    n = x.shape[0]
-    if k_i + 1 > n or k_j + 1 > n:
-        raise ValueError("order-statistic index exceeds the sample size")
-    if k < 1:
-        raise ValueError("k must be positive")
-    x_desc = np.sort(x)[::-1]
-    y_desc = np.sort(y)[::-1]
-    first = np.count_nonzero((x > x_desc[k_i]) & (y > y_desc[k_j])) / k
-    second = np.count_nonzero((x > x_desc[k_j]) & (y > y_desc[k_i])) / k
-    return float(first), float(second)
+def r_hat_pair(res_i, res_j, k: int) -> float:
+    """Empirical tail copula (1/k) * #{t: res_i[t] > i_(k+1), res_j[t] > j_(k+1)},
+    with i_(k+1) the (k+1)-th largest of res_i. Strict inequalities; ties at the
+    threshold are excluded."""
+    x = np.column_stack([res_i, res_j])  # raises ValueError unless aligned
+    joint = np.all(x > _descending(x, k)[k], axis=1)
+    return float(np.count_nonzero(joint) / k)
 
 
 def sigma_hat(residual_columns, gammas, k: int) -> np.ndarray:
     """D x D covariance of the joint log-MES forecast errors at one threshold k:
     sigma_ij = g_i g_j R_hat_ij, with R_hat the empirical tail copula of
-    residual columns i and j; the diagonal is g_d^2 exactly."""
+    residual columns i and j; the diagonal is g_d^2 exactly.
+
+    `residual_columns` holds D columns of length n (a sequence of them, or the
+    rows of a D x n array). Every R_hat_ij comes from one product of the n x D
+    exceedance indicators, so each column is sorted once."""
     gammas = np.asarray(gammas, dtype=float)
-    d = gammas.shape[0]
-    if len(residual_columns) != d:
-        raise ValueError(f"{len(residual_columns)} residual columns for {d} gammas")
-    sigma = np.diag(gammas**2)
-    for i in range(d):
-        for j in range(i + 1, d):
-            r_ij = r_hat_pair(residual_columns[i], residual_columns[j], k, k, k)[0]
-            sigma[i, j] = sigma[j, i] = gammas[i] * gammas[j] * r_ij
+    x = np.column_stack(residual_columns)
+    if x.shape[1] != gammas.shape[0]:
+        raise ValueError(f"{x.shape[1]} residual columns for {gammas.shape[0]} gammas")
+    exceed = (x > _descending(x, k)[k]).astype(float)
+    # joint exceedance counts are exact integers in floating point, so each
+    # entry equals g_i * g_j * r_hat_pair(column i, column j, k) bit for bit
+    sigma = np.outer(gammas, gammas) * ((exceed.T @ exceed) / k)
+    np.fill_diagonal(sigma, gammas**2)
     return sigma

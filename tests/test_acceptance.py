@@ -144,7 +144,7 @@ class TestExactInvariants:
         assert np.max(np.abs(np.diag(sigma) - gammas**2)) <= self.TOL
 
     def test_interval_multiplicative_symmetry(self):
-        cfg = TailConfig(k=227, k1=227, p=0.001, n=1000)
+        cfg = TailConfig(k=227, p=0.001, n=1000)
         fc = assemble_forecast(1.7, 2.3, 0.21, cfg, iota=0.05)
         point = fc.theta_hat_np_level
         assert abs(fc.ci_upper * fc.ci_lower - point**2) <= self.TOL * point**2
@@ -158,7 +158,7 @@ class TestExactInvariants:
             assert np.max(np.abs(contrast_matrix(d).sum(axis=1))) <= self.TOL
 
     def test_unit_depth_extrapolation_collapses(self):
-        cfg = TailConfig(k=100, k1=100, p=0.1, n=1000)
+        cfg = TailConfig(k=100, p=0.1, n=1000)
         assert cfg.d_n == 1.0
         assert abs(mes_extrapolate(4.56, 0.37, cfg) - 4.56) <= self.TOL
 
@@ -218,9 +218,9 @@ class TestTailCopulaConsistency:
         k = k_rule(n)
         u = sample_t_copula(TCopulaParams.bivariate(nu, 0.95), n,
                             np.random.default_rng(int(nu)))
-        r12, r21 = r_hat_pair(u[:, 0], u[:, 1], k, k, k)
+        r12 = r_hat_pair(u[:, 0], u[:, 1], k)
         target = tail_copula_R(1.0, 1.0, nu, 0.95)
-        assert (r12 + r21) / 2.0 == pytest.approx(target, rel=0.10)
+        assert r12 == pytest.approx(target, rel=0.10)
 
 
 class TestPipelineProperties:
@@ -239,9 +239,9 @@ class TestPipelineProperties:
     def test_tail_copula_rank_invariance(self):
         rng = np.random.default_rng(10)
         x, y = rng.standard_normal(500), rng.standard_normal(500)
-        base = r_hat_pair(x, y, 50, 50, 50)
+        base = r_hat_pair(x, y, 50)
         # strictly increasing transforms leave every exceedance count intact
-        assert r_hat_pair(np.exp(x), y**3 + 2.0 * y, 50, 50, 50) == base
+        assert r_hat_pair(np.exp(x), y**3 + 2.0 * y, 50) == base
 
     def test_no_look_ahead(self):
         panel = _panel(315, 2, seed=12)

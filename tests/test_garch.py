@@ -214,9 +214,9 @@ class TestQmleFit:
         y = simulate_ccc([X_PARAMS, GarchParams(0.001, 0.1, 0.85)], eps,
                          [0.15, 0.1])
         fits = [qmle_fit(y[:, j]) for j in range(2)]
-        panel = filter_and_residualize(y, fits, 10)
+        residuals = filter_and_residualize(y, fits, 10)
         for j in range(2):
-            assert 0.8 <= np.var(panel.column(j)) <= 1.2
+            assert 0.8 <= np.var(residuals[:, j]) <= 1.2
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -361,8 +361,8 @@ class TestResidualize:
         class FakeFit:
             vol_path = np.array([2.0, 2.0])
 
-        panel = filter_and_residualize(np.array([[4.0], [-2.0]]), [FakeFit()], 0)
-        assert np.allclose(panel.residuals[:, 0], [2.0, -1.0])
+        residuals = filter_and_residualize(np.array([[4.0], [-2.0]]), [FakeFit()], 0)
+        assert np.allclose(residuals[:, 0], [2.0, -1.0])
 
     def test_one_dimensional_losses_rejected(self):
         class FakeFit:
@@ -376,10 +376,10 @@ class TestResidualize:
             vol_path = np.ones(20)
 
         y = np.arange(20.0).reshape(-1, 1)
-        assert filter_and_residualize(y, [FakeFit()], 0).n == 20
-        panel = filter_and_residualize(y, [FakeFit()], 10)
-        assert panel.n == 10
-        assert panel.residuals[0, 0] == 10.0
+        assert filter_and_residualize(y, [FakeFit()], 0).shape[0] == 20
+        residuals = filter_and_residualize(y, [FakeFit()], 10)
+        assert residuals.shape[0] == 10
+        assert residuals[0, 0] == 10.0
 
     def test_filtration_consistency(self):
         # filtered residuals approach the true innovations as the window grows
@@ -392,7 +392,7 @@ class TestResidualize:
                                   return_volatility=True)
             y, sig, eps_kept = y[500:], sig[500:], eps[500:]
             fit = qmle_fit(y[:, 0])
-            panel = filter_and_residualize(y, [fit], 10)
-            errs.append(np.mean((panel.column(0) - eps_kept[10:, 0]) ** 2))
+            residuals = filter_and_residualize(y, [fit], 10)
+            errs.append(np.mean((residuals[:, 0] - eps_kept[10:, 0]) ** 2))
         assert errs[1] < errs[0]
         assert errs[1] < 0.01

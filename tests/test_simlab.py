@@ -230,10 +230,8 @@ class TestMlEstimator:
         spec = InnovationSpec.homogeneous(BURR, TCopulaParams.bivariate(3.0, 0.95))
         draws = sample_innovations(spec, 50_000, 3)
         from tailmes.garch import GarchFit  # noqa: F401  (documentation import)
-        from tailmes.garch import ResidualPanel
 
-        panel = ResidualPanel(residuals=draws, clipped=0, margin_ids=("X", "Y"))
-        est = ml_estimator(panel, 0.01)
+        est = ml_estimator(draws, 0.01)
         oracle = true_theta_oracle(3.0, 0.95, BURR, 0.01, 2_000_000, 5)
         # ML noise at n = 5e4 plus MC noise; generous but informative band
         assert est == pytest.approx(oracle.theta_p, rel=0.10)
@@ -244,20 +242,16 @@ class TestMlEstimator:
         p = 0.001
         losses, _ = _simulate_panel(cfg, 0)
         fit_x, fit_y = qmle_fit(losses[:, 0]), qmle_fit(losses[:, 1])
-        panel = filter_and_residualize(losses, [fit_x, fit_y], cfg.ell_n,
-                                       margin_ids=("X", "Y"))
-        fit = _fit_ml(panel)
+        residuals = filter_and_residualize(losses, [fit_x, fit_y], cfg.ell_n)
+        fit = _fit_ml(residuals)
         implied = theta_quadrature(fit.nu, fit.rho, fit.burr, p)
-        assert ml_estimator(panel, p) == implied
+        assert ml_estimator(residuals, p) == implied
         assert run_replication(cfg, p, 0).theta_ml == implied * fit_y.vol_forecast
 
     def test_too_few_residuals(self):
-        from tailmes.garch import ResidualPanel
-
-        panel = ResidualPanel(residuals=np.random.default_rng(1).standard_normal((100, 2)),
-                              clipped=0, margin_ids=("X", "Y"))
+        residuals = np.random.default_rng(1).standard_normal((100, 2))
         with pytest.raises(ValueError):
-            ml_estimator(panel, 0.01)
+            ml_estimator(residuals, 0.01)
 
 
 class TestRunStudy:

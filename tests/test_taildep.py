@@ -11,45 +11,37 @@ from tailmes.taildep import r_hat_pair, sigma_hat
 class TestRHatPair:
     def test_perfect_dependence(self):
         v = np.array([9.0, 7.0, 5.0, 3.0, 1.0, 0.5, 0.2])
-        first, second = r_hat_pair(v, v, 2, 3, 3)
-        assert first == second == 3 / 2
+        assert r_hat_pair(v, v, 3) == 1.0
 
     def test_antithetic(self):
         v = np.linspace(1.0, 10.0, 20)
-        first, second = r_hat_pair(v, -v, 2, 2, 2)
-        assert first == second == 0.0
+        assert r_hat_pair(v, -v, 2) == 0.0
 
     def test_hand_example(self):
         i = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
         j = np.array([1.0, 5.0, 4.0, 2.0, 3.0])
-        first, second = r_hat_pair(i, j, 2, 2, 2)
         # thresholds are the third-largest values (3 for both); joint exceeder t=1
-        assert first == 0.5
-        assert second == 0.5
+        assert r_hat_pair(i, j, 2) == 0.5
 
     def test_swap_consistency(self):
         rng = np.random.default_rng(4)
         x = rng.standard_t(3, size=300)
         y = 0.6 * x + rng.standard_t(3, size=300)
-        f_xy, s_xy = r_hat_pair(x, y, 20, 25, 15)
-        f_yx, s_yx = r_hat_pair(y, x, 20, 15, 25)
-        assert f_xy == f_yx
-        assert s_xy == s_yx
+        assert r_hat_pair(x, y, 20) == r_hat_pair(y, x, 20)
 
     def test_rank_invariance(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(200)
         y = x + rng.standard_normal(200)
-        base = r_hat_pair(x, y, 10, 12, 8)
-        assert r_hat_pair(np.exp(x), y, 10, 12, 8) == base
-        assert r_hat_pair(x, np.arctan(y), 10, 12, 8) == base
+        base = r_hat_pair(x, y, 10)
+        assert r_hat_pair(np.exp(x), y, 10) == base
+        assert r_hat_pair(x, np.arctan(y), 10) == base
 
     def test_bound_unswapped(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal(500)
         y = rng.standard_normal(500)
-        first, _ = r_hat_pair(x, y, 10, 30, 20)
-        assert 0.0 <= first <= min(30, 20) / 10
+        assert 0.0 <= r_hat_pair(x, y, 10) <= 1.0
 
 
 class TestSigmaHat:
@@ -72,7 +64,7 @@ class TestSigmaHat:
     def test_off_diagonal_formula(self):
         cols = self._columns(2)
         cov = sigma_hat(cols, [0.2, 0.4], 25)
-        expected = 0.2 * 0.4 * r_hat_pair(cols[0], cols[1], 25, 25, 25)[0]
+        expected = 0.2 * 0.4 * r_hat_pair(cols[0], cols[1], 25)
         assert expected > 0.0
         assert cov[0, 1] == pytest.approx(expected, rel=1e-14)
 
@@ -141,5 +133,5 @@ class TestSigmaHatProperties:
         cov = sigma_hat(cols, gammas, k)
         for i in range(len(cols)):
             for j in range(i + 1, len(cols)):
-                expected = gammas[i] * gammas[j] * r_hat_pair(cols[i], cols[j], k, k, k)[0]
-                assert cov[i, j] == pytest.approx(expected, rel=1e-14, abs=0.0)
+                expected = gammas[i] * gammas[j] * r_hat_pair(cols[i], cols[j], k)
+                assert cov[i, j] == expected
