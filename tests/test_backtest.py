@@ -133,12 +133,12 @@ class TestRollingForecast:
 
     def test_programming_error_propagates(self, monkeypatch):
         # only domain errors (ValueError) turn a window into a failed record
-        import tailmes.backtest as backtest
+        import tailmes.evt as evt
 
         def broken(*args, **kwargs):
             raise TypeError("injected")
 
-        monkeypatch.setattr(backtest, "hill", broken)
+        monkeypatch.setattr(evt, "hill", broken)
         with pytest.raises(TypeError, match="injected"):
             rolling_forecast(_synthetic_panel(312, n_series=2, seed=5), n=300, ell_n=10, p=0.01)
 
@@ -230,16 +230,16 @@ class TestForecastCsvRoundTrip:
     def test_nonconverged_ids_round_trip(self, tmp_path, monkeypatch):
         import dataclasses
 
-        import tailmes.backtest as backtest
+        import tailmes.evt as evt
 
-        fit, calls = backtest.qmle_fit, []
+        fit, calls = evt.qmle_fit, []
 
         def last_margin_unconverged(series):
             # every window fits the index, s0 and s1, in that order
             calls.append(1)
             return dataclasses.replace(fit(series), converged=len(calls) % 3 != 0)
 
-        monkeypatch.setattr(backtest, "qmle_fit", last_margin_unconverged)
+        monkeypatch.setattr(evt, "qmle_fit", last_margin_unconverged)
         records = rolling_forecast(_synthetic_panel(312, n_series=2, seed=5),
                                    n=300, ell_n=10, p=0.01)
         assert len(records) == 2
@@ -251,6 +251,28 @@ class TestForecastCsvRoundTrip:
         back = read_forecast_csv(path)
         assert [r.flags for r in back] == [r.flags for r in records]
         assert [r.diagnostics for r in back] == [r.diagnostics for r in records]
+
+    @pytest.mark.parametrize("name, stage", [("qmle_fit", "qmle"), ("hill", "evt")])
+    def test_failure_stage_round_trip(self, tmp_path, monkeypatch, name, stage):
+        # a domain error fails the window; the flag names the stage it came from
+        import tailmes.evt as evt
+
+        def failing(*args, **kwargs):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(evt, name, failing)
+        records = rolling_forecast(_synthetic_panel(312, n_series=2, seed=5),
+                                   n=300, ell_n=10, p=0.01)
+        assert len(records) == 2
+        for rec in records:
+            assert rec.failed
+            assert rec.flags == ("window-failed", f"window-failed:{stage}")
+            assert rec.diagnostics == {"error": "injected"}
+        path = tmp_path / "fc.csv"
+        write_forecast_csv(records, path)
+        back = read_forecast_csv(path)
+        assert [r.flags for r in back] == [r.flags for r in records]
+        assert all(r.failed for r in back)
 
     def test_round_trip(self, tmp_path):
         panel = _synthetic_panel(315, n_series=2, seed=5)

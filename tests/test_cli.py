@@ -170,6 +170,11 @@ class TestForecastCommand:
         assert main(["forecast", str(panel_csv), "--out", str(tmp_path / "o.csv"),
                      "--window", "300", "--clip", "10", "--p", "0.4"]) == 2
 
+    def test_p_zero_exit_2(self, tmp_path, panel_csv):
+        # the level is checked by TailConfig, so p = 0 is a configuration error
+        assert main(["forecast", str(panel_csv), "--out", str(tmp_path / "o.csv"),
+                     "--window", "300", "--clip", "10", "--p", "0"]) == 2
+
 
 class TestTestCommand:
     @pytest.fixture()

@@ -199,13 +199,15 @@ class TestRunReplication:
 
     @pytest.mark.parametrize("name", ["_fit_ml", "hill"])
     def test_programming_error_propagates(self, monkeypatch, name):
-        # only domain errors (ValueError) become failed or ml_failed records
+        # only domain errors (ValueError) become failed or ml_failed records;
+        # the window's own Hill estimate runs in evt, the ML fit in simlab
+        import tailmes.evt as evt
         import tailmes.simlab as simlab
 
         def broken(*args, **kwargs):
             raise TypeError("injected")
 
-        monkeypatch.setattr(simlab, name, broken)
+        monkeypatch.setattr({"_fit_ml": simlab, "hill": evt}[name], name, broken)
         with pytest.raises(TypeError, match="injected"):
             run_replication(self.CFG, 0.001, 0)
 
@@ -263,9 +265,9 @@ class TestRunStudy:
         assert row.coverage in (0.0, 100.0)
 
     def test_failure_reasons_counted(self, monkeypatch):
-        import tailmes.simlab as simlab
+        import tailmes.evt as evt
 
-        fit = simlab.qmle_fit
+        fit = evt.qmle_fit
         calls = []
 
         def failing_second_replication(series):
@@ -274,11 +276,29 @@ class TestRunStudy:
                 raise ValueError("injected")
             return fit(series)
 
-        monkeypatch.setattr(simlab, "qmle_fit", failing_second_replication)
+        monkeypatch.setattr(evt, "qmle_fit", failing_second_replication)
         cfg = SimConfig(replications=3, p_grid=(0.01, 0.001), base_seed=23)
         res = run_study(cfg)
         assert res.diagnostics["failed"] == 1
         assert res.diagnostics["fail_reasons"] == {"qmle": 1, "evt": 0}
+        assert all(row.n_failed == 1 and row.n_used == 2 for row in res.rows)
+
+    def test_evt_failure_counted(self, monkeypatch):
+        import tailmes.evt as evt
+
+        hill, calls = evt.hill, []
+
+        def failing_first_replication(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ValueError("injected")
+            return hill(*args, **kwargs)
+
+        monkeypatch.setattr(evt, "hill", failing_first_replication)
+        cfg = SimConfig(replications=3, p_grid=(0.01, 0.001), base_seed=23)
+        res = run_study(cfg)
+        assert res.diagnostics["failed"] == 1
+        assert res.diagnostics["fail_reasons"] == {"qmle": 0, "evt": 1}
         assert all(row.n_failed == 1 and row.n_used == 2 for row in res.rows)
 
     def test_rows_independent_of_threads(self):
