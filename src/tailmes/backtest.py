@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .evt import TailConfig, WindowError, forecast_window
+from .evt import TailConfig, WindowError, check_iota, forecast_window
 from .garch import qmle_fit  # noqa: F401  (the benchmark's tracer self-test wraps it here)
 from .inference import WaldResult, wald_test
 from .taildep import sigma_hat
@@ -157,6 +157,7 @@ def rolling_forecast(panel: LossPanel, n: int, ell_n: int, p: float,
     if n_rows <= width:
         raise PanelError(f"panel length {n_rows} must exceed n + ell_n = {width}")
     TailConfig.from_rule(n, p)  # refuses a level outside (0, 1) or past the depth k/(n*p) >= 1
+    check_iota(iota)
 
     # the first panel row is always dropped: with caps it has no lagged weight,
     # and dropping it uniformly keeps the record count at N - (n + ell_n)

@@ -18,6 +18,7 @@ __all__ = [
     "mes_within",
     "mes_extrapolate",
     "mes_np",
+    "check_iota",
     "assemble_forecast",
     "forecast_window",
 ]
@@ -128,14 +129,19 @@ def mes_np(res_x, res_y, p: float) -> float:
     return float(np.sum(y[exceed]) / (n * p))
 
 
+def check_iota(iota: float) -> None:
+    """Refuse a confidence-interval significance level outside (0, 1)."""
+    if not 0.0 < iota < 1.0:
+        raise ValueError(f"iota={iota} must lie in (0, 1)")
+
+
 def assemble_forecast(sigma_forecast: float, theta_hat_p: float, gamma_hat: float,
                       config: TailConfig, iota: float) -> MesForecast:
     """Combine volatility forecast and innovation-MES estimate into a forecast with CI.
 
     Interval: theta_hat * exp(-+ z_{1-iota/2} * gamma_hat * log(d_n) / sqrt(k)).
     """
-    if not 0.0 < iota < 1.0:
-        raise ValueError(f"iota={iota} must lie in (0, 1)")
+    check_iota(iota)
     if sigma_forecast <= 0:
         raise ValueError("sigma_forecast must be positive")
     if theta_hat_p < 0:

@@ -5,6 +5,7 @@ Monte Carlo oracles that cross-check it."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
+from functools import lru_cache
 from itertools import repeat
 from typing import Optional
 
@@ -23,7 +24,7 @@ from .distributions import (
     symmetrized_quantile,
     tail_copula_R,
 )
-from .evt import TailConfig, WindowError, forecast_window, hill, k_rule, mes_np
+from .evt import TailConfig, WindowError, check_iota, forecast_window, hill, k_rule, mes_np
 from .garch import GarchParams, simulate_ccc
 from .garch import qmle_fit  # noqa: F401  (the benchmark's tracer self-test wraps it here)
 
@@ -63,8 +64,11 @@ class SimConfig:
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
+        if not self.p_grid:
+            raise ValueError("p_grid must hold at least one risk level")
         for p in self.p_grid:
             TailConfig.from_rule(self.n, p)
+        check_iota(self.iota)
 
 
 @dataclass
@@ -222,6 +226,16 @@ def rejection_theta_oracle(nu: float, rho: float, burr: BurrParams, p: float,
                    mc_error=float(np.sqrt(var / kept)))
 
 
+@lru_cache(maxsize=None)
+def _legendre_rule(nodes: int):
+    """Gauss-Legendre nodes and weights on (-1, 1), computed once per node
+    count and shared read-only."""
+    rule = np.polynomial.legendre.leggauss(nodes)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def theta_quadrature(nu: float, rho: float, burr: BurrParams, p: float,
                      nodes: int = 50, positive_part: bool = False) -> float:
     """Deterministic quadrature for theta_p; the study's truth and, at the
@@ -251,7 +265,7 @@ def theta_quadrature(nu: float, rho: float, burr: BurrParams, p: float,
     mean keeps an opposite-tail term of the same asymptotic order, so its
     ratio settles slightly below the limit).
     """
-    s_nodes, s_weights = np.polynomial.legendre.leggauss(nodes)
+    s_nodes, s_weights = _legendre_rule(nodes)
 
     def unit_rule(upper):
         return 0.5 * upper * (s_nodes + 1.0), 0.5 * upper * s_weights
@@ -326,71 +340,128 @@ class MlFit:
     rho: float
 
 
-def _burr_ml_negloglik(log_a: float, log_b: float, mags: np.ndarray) -> float:
+# a and b at most 1e4 and a*b above 2.02, each held 1e-12 inside in logs so
+# that rounding in the map below cannot step onto the guards
+_BURR_LOG_MAX = float(np.log(1e4)) - 1e-12
+_BURR_BOUNDS = ((float(np.log(2.02)) + 1e-12, 2.0 * _BURR_LOG_MAX), (0.0, 1.0))
+
+
+def _burr_log_shapes(w):
+    """(log a, log b) and d log a / d w at the fit coordinates w = (log(a*b), r),
+    r = (M - log b) / ((M - log a) + (M - log b)) with M = log 1e4: r in [0, 1]
+    places log a on the segment of fixed a*b between b = 1e4 (r = 0) and
+    a = 1e4 (r = 1), so the box of w is the whole domain of the fit."""
+    log_ab, r = w
+    span = 2.0 * _BURR_LOG_MAX - log_ab
+    log_a = log_ab - _BURR_LOG_MAX + r * span
+    return log_a, log_ab - log_a, np.array([1.0 - r, span])
+
+
+def _burr_fit_coordinates(a: float, b: float) -> np.ndarray:
+    """The fit coordinates of Burr(a, b), the inverse of `_burr_log_shapes`."""
+    head_a, head_b = _BURR_LOG_MAX - np.log(a), _BURR_LOG_MAX - np.log(b)
+    return np.array([np.log(a * b), head_b / (head_a + head_b)])
+
+
+def _burr_ml_negloglik_and_score(w: np.ndarray, log_mags: np.ndarray):
+    """Negative log-likelihood of standardized magnitudes |eps| = B / c, with
+    B ~ Burr(a, b) and c = std_constant = sqrt(a * Beta(a - 2/b, 1 + 2/b)), and
+    its exact gradient in the fit coordinates of `_burr_log_shapes`.
+
+    Each point contributes log c + log a + log b + (b - 1) L - (a + 1)
+    log(1 + e^(b L)) with L = log c + log|eps|; d log c / da = (1/a + psi(a -
+    2/b) - psi(a + 1)) / 2 and d log c / db = (psi(a - 2/b) - psi(1 + 2/b)) / b^2.
+    The value is inf where a*b <= 2.02, a or b > 1e4, or c underflows to 0.
+    """
+    log_a, log_b, dlog_a = _burr_log_shapes(w)
     a, b = np.exp(log_a), np.exp(log_b)
     if a * b <= 2.02 or a > 1e4 or b > 1e4:
-        return np.inf
+        return np.inf, np.zeros(2)
     c = BurrParams(a=a, b=b).std_constant
     if not c > 0:  # E[B^2] underflows for tiny b
-        return np.inf
-    x = c * mags
-    log_x = np.log(x)
-    ll = (np.log(c) + np.log(a) + np.log(b) + (b - 1.0) * log_x
-          - (a + 1.0) * np.logaddexp(0.0, b * log_x))
-    return -float(np.sum(ll))
+        return np.inf, np.zeros(2)
+    n = log_mags.shape[0]
+    log_c = np.log(c)
+    log_x = log_c + log_mags
+    b_log_x = b * log_x
+    softplus = np.logaddexp(0.0, b_log_x)
+    share = special.expit(b_log_x)  # d softplus / d(b L)
+    sum_log_x, sum_share = log_x.sum(), share.sum()
+    ll = (n * (log_c + log_a + log_b) + (b - 1.0) * sum_log_x
+          - (a + 1.0) * softplus.sum())
+    psi_a = special.digamma(a - 2.0 / b)
+    dc_da = 0.5 * (1.0 / a + psi_a - special.digamma(a + 1.0))
+    dc_db = (psi_a - special.digamma(1.0 + 2.0 / b)) / (b * b)
+    d_log_a = a * (n / a - softplus.sum() + b * dc_da * (n - (a + 1.0) * sum_share))
+    d_log_b = b * (n / b + sum_log_x + n * b * dc_db
+                   - (a + 1.0) * (share @ log_x + b * dc_db * sum_share))
+    # log b = log(a*b) - log a
+    return -float(ll), -((d_log_a - d_log_b) * dlog_a + [d_log_b, 0.0])
 
 
 def fit_burr_ml(magnitudes) -> BurrParams:
-    """ML fit of Burr(a, b) to magnitudes of symmetrized standardized draws."""
+    """ML fit of Burr(a, b) to magnitudes of symmetrized standardized draws:
+    L-BFGS-B on the exact score in the box coordinates of `_burr_log_shapes`
+    from three starts, the best kept."""
     mags = np.asarray(magnitudes, dtype=float)
     mags = mags[mags > 0]
     if mags.shape[0] < 100:
         raise ValueError("too few positive magnitudes for a Burr ML fit")
+    log_mags = np.log(mags)
     gamma0 = max(hill(mags, max(k_rule(mags.shape[0]), 5)), 1e-3)
     ab0 = max(1.0 / gamma0, 2.5)
     best = None
     for b0 in (5.0, 12.0, 25.0):
         a0 = max(ab0 / b0, 2.05 / b0 * 1.05)
-        x0 = np.array([np.log(a0), np.log(b0)])
-        res = optimize.minimize(lambda x: _burr_ml_negloglik(x[0], x[1], mags), x0,
-                                method="Nelder-Mead",
-                                options={"xatol": 1e-7, "fatol": 1e-9, "maxiter": 400})
+        # the exact score makes tolerances tight enough for the edges a*b -> 2.02
+        # and a -> 1e4 cheap
+        res = optimize.minimize(_burr_ml_negloglik_and_score, _burr_fit_coordinates(a0, b0),
+                                args=(log_mags,), jac=True, method="L-BFGS-B",
+                                bounds=_BURR_BOUNDS,
+                                options={"maxiter": 400, "ftol": 1e-14, "gtol": 1e-8})
         if np.isfinite(res.fun) and (best is None or res.fun < best.fun):
             best = res
     if best is None or not np.isfinite(best.fun):
         raise ValueError("Burr ML fit did not converge")
-    return BurrParams(a=float(np.exp(best.x[0])), b=float(np.exp(best.x[1])))
-
-
-def _tcopula_negloglik_given_t(x: np.ndarray, y: np.ndarray, nu: float,
-                               rho: float) -> float:
-    if not -0.9999 < rho < 0.9999:
-        return np.inf
-    one_m = 1.0 - rho * rho
-    q = (x * x - 2.0 * rho * x * y + y * y) / one_m
-    log_f2 = (special.gammaln((nu + 2.0) / 2.0) - special.gammaln(nu / 2.0)
-              - np.log(nu * np.pi) - 0.5 * np.log(one_m)
-              - (nu + 2.0) / 2.0 * np.log1p(q / nu))
-    log_f1 = (special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0)
-              - 0.5 * np.log(nu * np.pi))
-    log_fx = log_f1 - (nu + 1.0) / 2.0 * np.log1p(x * x / nu)
-    log_fy = log_f1 - (nu + 1.0) / 2.0 * np.log1p(y * y / nu)
-    return -float(np.sum(log_f2 - log_fx - log_fy))
+    log_a, log_b, _ = _burr_log_shapes(best.x)
+    return BurrParams(a=float(np.exp(log_a)), b=float(np.exp(log_b)))
 
 
 def fit_tcopula_ml(u, v):
-    """Profile-likelihood ML fit of a bivariate t-copula on pseudo-observations."""
+    """Profile-likelihood ML fit of a bivariate t-copula on pseudo-observations.
+
+    Bounded Brent searches: over log nu in [log 1.2, log 60], and at each nu
+    over rho in [-0.999, 0.999]. u and v are both ranks / (n + 1), so one set
+    of t quantiles per nu serves both, and everything but the bivariate term is
+    computed once per nu.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    levels, index = np.unique(np.concatenate([u, v]), return_inverse=True)
+    index_u, index_v = index[:u.shape[0]], index[u.shape[0]:]
 
     def profile(log_nu):
         nu = float(np.exp(log_nu))
-        x = special.stdtrit(nu, u)
-        y = special.stdtrit(nu, v)
-        inner = optimize.minimize_scalar(
-            lambda r: _tcopula_negloglik_given_t(x, y, nu, r),
-            bounds=(-0.999, 0.999), method="bounded",
-            options={"xatol": 1e-5})
+        t = special.stdtrit(nu, levels)
+        x, y = t[index_u], t[index_v]
+        x_sq, y_sq = x * x, y * y
+        log_f1 = (special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0)
+                  - 0.5 * np.log(nu * np.pi))
+        log_fx = log_f1 - (nu + 1.0) / 2.0 * np.log1p(x_sq / nu)
+        log_fy = log_f1 - (nu + 1.0) / 2.0 * np.log1p(y_sq / nu)
+        log_c2 = (special.gammaln((nu + 2.0) / 2.0) - special.gammaln(nu / 2.0)
+                  - np.log(nu * np.pi))
+
+        def negloglik(rho):
+            if not -0.9999 < rho < 0.9999:
+                return np.inf
+            one_m = 1.0 - rho * rho
+            q = (x_sq - 2.0 * rho * x * y + y_sq) / one_m
+            log_f2 = log_c2 - 0.5 * np.log(one_m) - (nu + 2.0) / 2.0 * np.log1p(q / nu)
+            return -float(np.sum(log_f2 - log_fx - log_fy))
+
+        inner = optimize.minimize_scalar(negloglik, bounds=(-0.999, 0.999),
+                                         method="bounded", options={"xatol": 1e-5})
         return inner.fun, inner.x
 
     outer = optimize.minimize_scalar(lambda ln: profile(ln)[0],

@@ -152,6 +152,17 @@ class TestRollingForecast:
         with pytest.raises(ValueError):
             rolling_forecast(panel, n=300, ell_n=10, p=0.4)
 
+    @pytest.mark.parametrize("iota", [0.0, 1.0, 1.5, float("nan")])
+    def test_bad_iota_refused_before_the_first_window(self, monkeypatch, iota):
+        import tailmes.backtest as backtest
+
+        def window(*args, **kwargs):
+            raise AssertionError("a window ran")
+
+        monkeypatch.setattr(backtest, "_window_forecast", window)
+        with pytest.raises(ValueError, match="iota"):
+            rolling_forecast(_synthetic_panel(318), n=300, ell_n=10, p=0.01, iota=iota)
+
 
 class TestIngestCsv:
     def _write(self, tmp_path, lines):

@@ -95,6 +95,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_empty_p_grid_exit_2(self, tmp_path, capsys):
+        cfg = _sim_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("p_grid = 0.01 0.001", "p_grid ="))
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "p_grid" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("extra, key", [("replicatons = 5\n", "replicatons"),
                                             ("ml_draws = 5\n", "ml_draws")])
     def test_unknown_study_key_exit_2(self, tmp_path, capsys, extra, key):
@@ -169,6 +177,12 @@ class TestForecastCommand:
     def test_p_too_large_exit_2(self, tmp_path, panel_csv):
         assert main(["forecast", str(panel_csv), "--out", str(tmp_path / "o.csv"),
                      "--window", "300", "--clip", "10", "--p", "0.4"]) == 2
+
+    def test_bad_iota_exit_2(self, tmp_path, panel_csv, capsys):
+        assert main(["forecast", str(panel_csv), "--out", str(tmp_path / "o.csv"),
+                     "--window", "300", "--clip", "10", "--p", "0.01", "--iota", "1.5"]) == 2
+        assert "iota" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_p_zero_exit_2(self, tmp_path, panel_csv):
         # the level is checked by TailConfig, so p = 0 is a configuration error

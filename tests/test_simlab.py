@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, special, stats
 
 from tailmes.distributions import (
     BurrParams,
@@ -12,12 +12,17 @@ from tailmes.distributions import (
     sample_innovations,
     symmetrized_quantile,
 )
+from tailmes.evt import forecast_window, hill, k_rule
 from tailmes.garch import GarchParams, filter_and_residualize, qmle_fit
 from tailmes.simlab import (
     SimConfig,
-    _burr_ml_negloglik,
+    _average_rank,
+    _burr_fit_coordinates,
+    _burr_log_shapes,
+    _burr_ml_negloglik_and_score,
     _conditional_tail_draws,
     _fit_ml,
+    _legendre_rule,
     _simulate_panel,
     _tail_t_quantiles,
     fit_burr_ml,
@@ -50,6 +55,15 @@ class TestSimConfig:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             SimConfig(p_grid=(0.0,))
+
+    def test_rejects_empty_p_grid(self):
+        with pytest.raises(ValueError, match="p_grid"):
+            SimConfig(p_grid=())
+
+    @pytest.mark.parametrize("iota", [0.0, 1.0, 1.5, float("nan")])
+    def test_rejects_bad_iota(self, iota):
+        with pytest.raises(ValueError, match="iota"):
+            SimConfig(iota=iota)
 
 
 class TestTailTQuantiles:
@@ -124,6 +138,12 @@ class TestThetaQuadrature:
                 # rho = 0 gives exactly 0 at both node counts
                 assert abs(fine - coarse) <= 1e-6 * abs(coarse), (ab, b, p)
 
+    def test_legendre_rule_cached_read_only(self):
+        rule = _legendre_rule(50)
+        assert _legendre_rule(50) is rule
+        for cached, fresh in zip(rule, np.polynomial.legendre.leggauss(50)):
+            assert np.array_equal(cached, fresh) and not cached.flags.writeable
+
     def test_study_truth_is_the_quadrature(self):
         cfg = SimConfig(replications=1, p_grid=(0.01, 0.001), base_seed=21)
         truth = run_study(cfg).diagnostics["true_theta"]
@@ -155,6 +175,87 @@ def big_sample():
     return sample_innovations(spec, 100_000, 2024)
 
 
+@pytest.fixture(scope="module")
+def study_residuals():
+    """The 64 residual matrices the study's ML comparison fits at n = 1000 for
+    base seeds 7 and 8, 32 replications each."""
+    out = []
+    for seed in (7, 8):
+        cfg = SimConfig(base_seed=seed)
+        for rep in range(32):
+            losses, _ = _simulate_panel(cfg, rep)
+            out.append(forecast_window(losses, cfg.ell_n, [0.01], cfg.iota)[1])
+    return out
+
+
+def _burr_ml_negloglik(log_a, log_b, mags):
+    """Value-only Burr objective in (log a, log b), the reference for the
+    exact-score fit."""
+    a, b = np.exp(log_a), np.exp(log_b)
+    if a * b <= 2.02 or a > 1e4 or b > 1e4:
+        return np.inf
+    c = BurrParams(a=a, b=b).std_constant
+    if not c > 0:  # E[B^2] underflows for tiny b
+        return np.inf
+    x = c * mags
+    log_x = np.log(x)
+    ll = (np.log(c) + np.log(a) + np.log(b) + (b - 1.0) * log_x
+          - (a + 1.0) * np.logaddexp(0.0, b * log_x))
+    return -float(np.sum(ll))
+
+
+def _nelder_mead_burr_negloglik(mags):
+    """Best value of the Nelder-Mead Burr fit from fit_burr_ml's three starts,
+    the reference the exact-score fit must match."""
+    gamma0 = max(hill(mags, max(k_rule(mags.shape[0]), 5)), 1e-3)
+    ab0 = max(1.0 / gamma0, 2.5)
+    best = np.inf
+    for b0 in (5.0, 12.0, 25.0):
+        a0 = max(ab0 / b0, 2.05 / b0 * 1.05)
+        res = optimize.minimize(lambda x: _burr_ml_negloglik(x[0], x[1], mags),
+                                np.log([a0, b0]), method="Nelder-Mead",
+                                options={"xatol": 1e-7, "fatol": 1e-9, "maxiter": 400})
+        best = min(best, res.fun)
+    return best
+
+
+def _reference_fit_tcopula_ml(u, v):
+    """fit_tcopula_ml with the t quantiles of u and v and every term of the
+    likelihood recomputed at each evaluation."""
+    def negloglik(x, y, nu, rho):
+        if not -0.9999 < rho < 0.9999:
+            return np.inf
+        one_m = 1.0 - rho * rho
+        q = (x * x - 2.0 * rho * x * y + y * y) / one_m
+        log_f2 = (special.gammaln((nu + 2.0) / 2.0) - special.gammaln(nu / 2.0)
+                  - np.log(nu * np.pi) - 0.5 * np.log(one_m)
+                  - (nu + 2.0) / 2.0 * np.log1p(q / nu))
+        log_f1 = (special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0)
+                  - 0.5 * np.log(nu * np.pi))
+        log_fx = log_f1 - (nu + 1.0) / 2.0 * np.log1p(x * x / nu)
+        log_fy = log_f1 - (nu + 1.0) / 2.0 * np.log1p(y * y / nu)
+        return -float(np.sum(log_f2 - log_fx - log_fy))
+
+    def profile(log_nu):
+        nu = float(np.exp(log_nu))
+        x = special.stdtrit(nu, u)
+        y = special.stdtrit(nu, v)
+        inner = optimize.minimize_scalar(lambda r: negloglik(x, y, nu, r),
+                                         bounds=(-0.999, 0.999), method="bounded",
+                                         options={"xatol": 1e-5})
+        return inner.fun, inner.x
+
+    outer = optimize.minimize_scalar(lambda ln: profile(ln)[0],
+                                     bounds=(np.log(1.2), np.log(60.0)),
+                                     method="bounded", options={"xatol": 5e-3})
+    return float(np.exp(outer.x)), float(profile(outer.x)[1])
+
+
+def _pseudo_observations(residuals):
+    n = residuals.shape[0]
+    return [_average_rank(col) / (n + 1.0) for col in residuals.T]
+
+
 class TestMlFits:
 
     def test_burr_ml_consistency(self, big_sample):
@@ -166,10 +267,43 @@ class TestMlFits:
         # at b = 0.01, a*b = 50, E[B^2] underflows to 0; the objective must
         # reject the point instead of returning NaN with warnings
         assert BurrParams(a=5000.0, b=0.01).std_constant == 0.0
+        log_mags = np.log(np.linspace(0.1, 3.0, 50))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            val = _burr_ml_negloglik(np.log(5000.0), np.log(0.01), np.linspace(0.1, 3.0, 50))
+            val, _ = _burr_ml_negloglik_and_score(_burr_fit_coordinates(5000.0, 0.01),
+                                                  log_mags)
         assert val == np.inf
+
+    @pytest.mark.parametrize("a, b", [(2.0201 / 20.0, 20.0), (2.0201 / 50.0, 50.0),
+                                      (2.021 / 0.5, 0.5), (0.25, 20.0), (0.05, 100.0),
+                                      (0.001, 5000.0), (3.0, 1.0), (5000.0, 1.0)])
+    def test_burr_score_matches_finite_differences(self, a, b):
+        mags = np.abs(symmetrized_quantile(np.random.default_rng(4).uniform(size=1000), BURR))
+
+        def reference(w):
+            log_a, log_b, _ = _burr_log_shapes(w)
+            return _burr_ml_negloglik(log_a, log_b, mags)
+
+        w = _burr_fit_coordinates(a, b)
+        val, score = _burr_ml_negloglik_and_score(w, np.log(mags))
+        assert val == pytest.approx(reference(w), rel=1e-13)
+        h = 1e-6
+        central = np.array([(reference(w + h * e) - reference(w - h * e)) / (2.0 * h)
+                            for e in np.eye(2)])
+        assert np.max(np.abs(score - central)) <= 1e-6 * np.max(np.abs(score))
+
+    def test_burr_fit_matches_nelder_mead_on_study_residuals(self, study_residuals):
+        for residuals in study_residuals:
+            mags = np.abs(residuals[:, 1])
+            fit = fit_burr_ml(mags)
+            new = _burr_ml_negloglik(np.log(fit.a), np.log(fit.b), mags)
+            assert new <= _nelder_mead_burr_negloglik(mags) + 1e-8
+
+    def test_tcopula_fit_bit_identical_to_reference(self, study_residuals):
+        # the rounded set has tied ranks, so u and v share half-integer ranks
+        for residuals in study_residuals + [np.round(study_residuals[0], 1)]:
+            u, v = _pseudo_observations(residuals)
+            assert fit_tcopula_ml(u, v) == _reference_fit_tcopula_ml(u, v)
 
     def test_tcopula_ml_consistency(self, big_sample):
         n = big_sample.shape[0]
